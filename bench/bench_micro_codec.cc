@@ -174,7 +174,6 @@ void BM_IdctBlock(benchmark::State& state, arch::Isa isa) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_IdctBlock, scalar, arch::Isa::kScalar);
-BENCHMARK_CAPTURE(BM_IdctBlock, sse2, arch::Isa::kSse2);
 BENCHMARK_CAPTURE(BM_IdctBlock, avx2, arch::Isa::kAvx2);
 
 // One 1024-pixel YCbCr->RGB row conversion.
@@ -198,7 +197,6 @@ void BM_YcbcrRow(benchmark::State& state, arch::Isa isa) {
   state.SetBytesProcessed(state.iterations() * int64_t{3 * kW});
 }
 BENCHMARK_CAPTURE(BM_YcbcrRow, scalar, arch::Isa::kScalar);
-BENCHMARK_CAPTURE(BM_YcbcrRow, sse2, arch::Isa::kSse2);
 BENCHMARK_CAPTURE(BM_YcbcrRow, avx2, arch::Isa::kAvx2);
 
 // Full-image baseline decode with the kernel path pinned (the number the
@@ -217,7 +215,6 @@ void BM_DecodeArch(benchmark::State& state, arch::Isa isa) {
                           static_cast<int64_t>(baseline.size()));
 }
 BENCHMARK_CAPTURE(BM_DecodeArch, scalar, arch::Isa::kScalar);
-BENCHMARK_CAPTURE(BM_DecodeArch, sse2, arch::Isa::kSse2);
 BENCHMARK_CAPTURE(BM_DecodeArch, avx2, arch::Isa::kAvx2);
 
 void BM_Msssim(benchmark::State& state) {

@@ -41,8 +41,6 @@ int main() {
   CachedDatasetOptions cache_options;
   cache_options.scan_groups = {1, 2, 5, 10};
   cache_options.features.grid = 10;
-  cache_options.io_threads = 2;
-  cache_options.decode_threads = 4;
   auto cached = CachedDataset::Build(dataset.get(), cache_options).MoveValue();
   printf("cached features: dim=%d classes=%d train=%d test=%d\n\n",
          cached.feature_dim(), cached.num_classes(), cached.train_size(),

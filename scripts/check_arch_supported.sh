@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Usage: check_arch_supported.sh <scalar|sse2|avx2>
+# Usage: check_arch_supported.sh <scalar|avx2>
 #
 # Exit 0 when this machine can execute the given kernel tier, 1 when it
 # cannot, 2 on usage error. CI's per-kernel-path test loops call this as a
@@ -13,7 +13,7 @@ case "$tier" in
   scalar)
     exit 0
     ;;
-  sse2|avx2)
+  avx2)
     # Linux: flag list in /proc/cpuinfo. Anything else: be conservative.
     if [ -r /proc/cpuinfo ]; then
       if grep -q -m1 -w "$tier" /proc/cpuinfo; then
@@ -25,7 +25,7 @@ case "$tier" in
     exit 1
     ;;
   *)
-    echo "usage: $0 <scalar|sse2|avx2>" >&2
+    echo "usage: $0 <scalar|avx2>" >&2
     exit 2
     ;;
 esac

@@ -2,7 +2,7 @@
 """CI bench-regression gate.
 
 Compares a bench run's items/sec against a committed baseline (e.g.
-BENCH_pr5.json) and fails when any benchmark regresses by more than the
+BENCH.json) and fails when any benchmark regresses by more than the
 threshold.
 
 CI machines differ from the machine a baseline was recorded on, so by
@@ -318,7 +318,7 @@ def run_suite(suite_path, bench_dir):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline",
-                        help="committed baseline JSON (e.g. BENCH_pr5.json)")
+                        help="committed baseline JSON (e.g. BENCH.json)")
     parser.add_argument("--baseline-key", default=None,
                         help="sub-table inside the baseline's "
                         "items_per_second map (e.g. codec)")

@@ -5,11 +5,12 @@
 //
 // Every kernel has a scalar implementation that is the canonical,
 // bit-exactness-defining path (it backs jpeg/dct.cc and image/color.h), plus
-// SSE2 and AVX2 variants that must produce bit-identical output. Selection
-// happens once per process via CPUID into a per-function table; the
-// PCR_FORCE_ARCH environment variable (or ForceIsa for tests/benches) pins a
-// path, with unknown or unsupported values warning and falling back to
-// scalar.
+// an AVX2 variant that must produce bit-identical output. A SIMD tier stays
+// only while a within-run bench ratio shows it beats the tier below.
+// Selection happens once per process via CPUID into a per-function table;
+// the PCR_FORCE_ARCH environment variable (or ForceIsa for tests/benches)
+// pins a path, with unknown or unsupported values warning and falling back
+// to scalar.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +26,8 @@
 namespace pcr::arch {
 
 /// Instruction-set tiers, weakest first. Scalar is always available.
-enum class Isa : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-inline constexpr int kNumIsas = 3;
+enum class Isa : int { kScalar = 0, kAvx2 = 1 };
+inline constexpr int kNumIsas = 2;
 
 /// Per-function dispatch table. All entries of one table belong to the same
 /// tier; every SIMD entry is bit-exact with its scalar counterpart (enforced
@@ -63,7 +64,7 @@ const Kernels& Active();
 
 /// The table for a specific tier; falls back to scalar when the tier was not
 /// compiled in (non-x86 builds). Does not check CPU support — callers use
-/// IsaSupported before executing SSE2/AVX2 entries.
+/// IsaSupported before executing AVX2 entries.
 const Kernels& KernelsFor(Isa isa);
 
 /// Best tier this CPU can execute.
@@ -72,7 +73,7 @@ Isa DetectIsa();
 /// True when this CPU (and build) can execute `isa`.
 bool IsaSupported(Isa isa);
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 const char* IsaName(Isa isa);
 
 /// Parses an Isa name as accepted by PCR_FORCE_ARCH. Returns false (and

@@ -16,10 +16,6 @@ constexpr Kernels kScalarKernels = {Isa::kScalar,     "scalar",
                                     &UpsampleRowScalar, &FindFfScalar};
 
 #if PCR_ARCH_X86
-constexpr Kernels kSse2Kernels = {Isa::kSse2,       "sse2",
-                                  &IdctSse2,        &YcbcrRowSse2,
-                                  &UpsampleRowSse2, &FindFfSse2};
-
 constexpr Kernels kAvx2Kernels = {Isa::kAvx2,       "avx2",
                                   &IdctAvx2,        &YcbcrRowAvx2,
                                   &UpsampleRowAvx2, &FindFfAvx2};
@@ -41,14 +37,10 @@ bool IsaSupported(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
-#if PCR_ARCH_X86
-    case Isa::kSse2:
-      return __builtin_cpu_supports("sse2");
     case Isa::kAvx2:
+#if PCR_ARCH_X86
       return __builtin_cpu_supports("avx2");
 #else
-    case Isa::kSse2:
-    case Isa::kAvx2:
       return false;
 #endif
   }
@@ -56,17 +48,13 @@ bool IsaSupported(Isa isa) {
 }
 
 Isa DetectIsa() {
-  if (IsaSupported(Isa::kAvx2)) return Isa::kAvx2;
-  if (IsaSupported(Isa::kSse2)) return Isa::kSse2;
-  return Isa::kScalar;
+  return IsaSupported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
 }
 
 const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
   }
@@ -92,7 +80,7 @@ Isa ResolveIsa(const char* force, Isa detected, unsigned supported_mask,
   if (!ParseIsa(force, &forced)) {
     if (warning != nullptr) {
       *warning = std::string("PCR_FORCE_ARCH=\"") + force +
-                 "\" is not one of scalar/sse2/avx2; using scalar";
+                 "\" is not one of scalar/avx2; using scalar";
     }
     return Isa::kScalar;
   }
@@ -108,14 +96,7 @@ Isa ResolveIsa(const char* force, Isa detected, unsigned supported_mask,
 
 const Kernels& KernelsFor(Isa isa) {
 #if PCR_ARCH_X86
-  switch (isa) {
-    case Isa::kSse2:
-      return kSse2Kernels;
-    case Isa::kAvx2:
-      return kAvx2Kernels;
-    case Isa::kScalar:
-      break;
-  }
+  if (isa == Isa::kAvx2) return kAvx2Kernels;
 #else
   (void)isa;
 #endif

@@ -1,7 +1,7 @@
 // Per-ISA kernel entry points behind arch::Kernels. The scalar functions are
-// the canonical definitions (bit-exactness oracles); the SSE2/AVX2 variants
-// live in their own translation units compiled with only that tier's -m
-// flags, so the binary runs on any x86-64 and tiers are chosen at runtime.
+// the canonical definitions (bit-exactness oracles); the AVX2 variants live
+// in their own translation unit compiled with only -mavx2, so the binary
+// runs on any x86-64 and the tier is chosen at runtime.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +28,6 @@ void UpsampleRowSpanScalar(const uint8_t* r0, const uint8_t* r1, int wy1,
 }  // namespace detail
 
 #if PCR_ARCH_X86
-void IdctSse2(const int32_t coeff[64], uint8_t* out, int out_stride);
-void YcbcrRowSse2(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
-                  uint8_t* rgb, int n);
-void UpsampleRowSse2(const uint8_t* r0, const uint8_t* r1, int wy1,
-                     uint8_t* out, int out_w, int chroma_w);
-size_t FindFfSse2(const uint8_t* data, size_t n);
-
 void IdctAvx2(const int32_t coeff[64], uint8_t* out, int out_stride);
 void YcbcrRowAvx2(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
                   uint8_t* rgb, int n);

@@ -1,12 +1,27 @@
-// AVX2 kernels. Same bit-exactness strategy as kernels_sse2.cc (exact
-// low-64 multiplies, 2^62-bias arithmetic shifts, saturating-pack clamps),
-// with four int64 lanes per register. Two AVX2-specific speedups:
-// _mm256_mul_epi32 replaces the three-op exact multiply wherever the
-// operand provably fits in int32 — always true in pass 1 (inputs are
-// < 2^23), and true in pass 2 whenever every pass-1 intermediate fits in
-// 28 bits, which a cheap range test establishes per block (real images sit
-// around 2^21; only hostile near-clamp coefficients take the generic
-// path) — and the RGB interleave is two pshufb+or pairs per 8 pixels.
+// AVX2 kernels. Bit-exactness strategy: the IDCT reproduces the scalar
+// int64 butterfly exactly, four int64 lanes per __m256i and two registers
+// per 8-wide value. AVX2 has no 64-bit multiply, so the exact low-64
+// product is built from _mm256_mul_epu32: for a positive 32-bit constant c
+// and any int64 a whose true product fits in int64,
+//
+//   lo64(a * c) = (a_lo * c + ((a_hi * c) << 32)) mod 2^64
+//
+// with a_lo/a_hi the unsigned dword halves of a; the sign-extension error
+// terms are multiples of 2^64 and vanish. Negated constants in the scalar
+// code become subtractions so every multiply constant stays positive. The
+// 64-bit arithmetic right shift AVX2 also lacks is done by biasing with
+// 2^62, shifting logically, and subtracting the shifted bias; the final
+// [0, 255] clamp is the saturating packs_epi32/packus_epi16 chain, which
+// matches the scalar clamp exactly because both saturation points lie
+// outside [0, 255].
+//
+// Two speedups on top: _mm256_mul_epi32 replaces the three-op exact
+// multiply wherever the operand provably fits in int32 — always true in
+// pass 1 (inputs are < 2^23), and true in pass 2 whenever every pass-1
+// intermediate fits in 28 bits, which a cheap range test establishes per
+// block (real images sit around 2^21; only hostile near-clamp coefficients
+// take the generic path) — and the RGB interleave is two pshufb+or pairs
+// per 8 pixels.
 #include <immintrin.h>
 
 #include <cstring>
@@ -78,8 +93,8 @@ inline V8 LoadRow(const int32_t* p) {
           _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1))};
 }
 
-// The scalar Loeffler butterfly, elementwise over 8 lanes (see
-// kernels_sse2.cc for the structure notes).
+// The scalar Loeffler butterfly, elementwise over 8 lanes, descaling by
+// kShift. Scalar's `+ x * (-kFix...)` terms are subtractions here.
 template <int kShift, bool kNarrow>
 inline void Butterfly(const V8 in[8], V8 out[8]) {
   using namespace idct;  // NOLINT(build/namespaces)
@@ -218,6 +233,10 @@ inline __m128i PackBytes(__m256i v32) {
 
 void YcbcrRowAvx2(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
                   uint8_t* rgb, int n) {
+  // The ycc:: formulas on int32 lanes. Every biased sum is non-negative by
+  // construction of kShiftBias, so the arithmetic shift equals the scalar
+  // `>>` on a non-negative value, and the saturating packs equal
+  // ClampToByte.
   const __m256i k128 = _mm256_set1_epi32(128);
   const __m256i bias = _mm256_set1_epi32(ycc::kHalf + ycc::kShiftBias);
   const __m256i back = _mm256_set1_epi32(256);
@@ -294,6 +313,8 @@ void UpsampleRowAvx2(const uint8_t* r0, const uint8_t* r1, int wy1,
                               _mm256_mullo_epi16(b, w1));
     };
     int k = 1;
+    // Interior: for outputs 2k'/2k'+1 the taps are k'-1, k', k'+1 —
+    // unclamped while k' stays in [1, chroma_w - 2].
     for (; k + kV <= chroma_w - 1 && 2 * (k + kV) <= out_w; k += kV) {
       const __m256i ta = blend(k - 1);
       const __m256i tb = blend(k);

@@ -43,7 +43,7 @@ struct DecodeResult {
   /// True when an EOI was reached after a script-complete set of scans
   /// brought every coefficient to full precision.
   bool complete = false;
-  /// Kernel tier that rendered the pixels ("scalar"/"sse2"/"avx2" — see
+  /// Kernel tier that rendered the pixels ("scalar"/"avx2" — see
   /// arch/arch.h). Static string, informational.
   const char* kernel_isa = "scalar";
 };

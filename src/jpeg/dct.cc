@@ -54,7 +54,7 @@ void ForwardDct8x8(const double in[64], double out[64]) {
 }
 
 // The fixed-point inverse DCT now lives in src/arch/ (kernels_scalar.cc is
-// the canonical body, formerly here) so SSE2/AVX2 variants can share its
+// the canonical body, formerly here) so the AVX2 variant can share its
 // constants and be dispatched at runtime. This wrapper keeps the historical
 // entry point; hot paths call arch::Active().idct8x8 directly.
 void InverseDct8x8Fixed(const int32_t coeff[64], uint8_t* out,

@@ -34,7 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "loader/data_loader.h"
+#include "loader/loaded_batch.h"
 
 namespace pcr {
 

@@ -19,6 +19,25 @@ int64_t NowNanos() {
       .count();
 }
 
+/// Decodes every JPEG of an assembled RecordBatch into pixels. `scratch`
+/// lets a long-lived decode thread reuse coefficient and staging buffers
+/// across records.
+Result<LoadedBatch> DecodeRecordBatch(RecordBatch raw, int record_index,
+                                      int scan_group,
+                                      jpeg::DecodeScratch* scratch) {
+  LoadedBatch batch;
+  batch.record_index = record_index;
+  batch.scan_group = scan_group;
+  batch.labels = std::move(raw.labels);
+  batch.bytes_read = raw.bytes_read;
+  batch.images.reserve(raw.spans.size());
+  for (int i = 0; i < raw.size(); ++i) {
+    PCR_ASSIGN_OR_RETURN(Image img, jpeg::Decode(raw.jpeg(i), scratch));
+    batch.images.push_back(std::move(img));
+  }
+  return batch;
+}
+
 }  // namespace
 
 LoaderPipeline::LoaderPipeline(RecordSource* source,

@@ -35,8 +35,9 @@
 #include <vector>
 
 #include "core/record_source.h"
-#include "loader/data_loader.h"
+#include "jpeg/codec.h"
 #include "loader/decode_cache.h"
+#include "loader/loaded_batch.h"
 #include "loader/prefix_cache.h"
 #include "loader/sampler.h"
 #include "loader/scan_policy.h"

@@ -38,6 +38,10 @@ std::string CanonicalPath(const std::string& path) {
   return path;
 }
 
+/// I/O workers in each stream's pipeline. Streams multiply them, and each
+/// worker already keeps the pipeline's default window of reads in flight.
+constexpr int kStreamIoThreads = 1;
+
 uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -467,10 +471,8 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
              static_cast<uint32_t>(options_.max_inflight_per_stream)));
 
   LoaderPipelineOptions pipe;
-  pipe.io_threads = options_.io_threads;
-  pipe.io_inflight = options_.io_inflight;
+  pipe.io_threads = kStreamIoThreads;
   pipe.decode_threads = options_.decode_threads;
-  pipe.io_backend = options_.io_backend;
   pipe.decode = req->decode;
   pipe.max_epochs = static_cast<int>(req->max_epochs);
   pipe.shuffle = req->shuffle;

@@ -79,11 +79,8 @@ struct DaemonOptions {
   uint64_t decode_cache_bytes = 256ull << 20;
   uint64_t prefix_cache_bytes = 64ull << 20;
 
-  // Per-stream pipeline shape (LoaderPipelineOptions subset).
-  int io_threads = 1;
-  int io_inflight = 4;
+  /// Decode workers in each stream's pipeline.
   int decode_threads = 2;
-  IoBackend io_backend = IoBackend::kAuto;
 
   // Shared-memory data plane (decoded streams only; negotiated per stream).
   /// Offer the shm plane to capable clients that ask for it.

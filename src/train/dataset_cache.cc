@@ -57,9 +57,6 @@ Result<std::vector<CachedDataset>> CachedDataset::BuildMulti(
     // parallel decode stage absorbs that ~train_fraction remainder, and in
     // exchange every train image's decode overlaps the next fetch.
     LoaderPipelineOptions pipeline_options;
-    pipeline_options.io_threads = options.io_threads;
-    pipeline_options.io_inflight = options.io_inflight;
-    pipeline_options.decode_threads = options.decode_threads;
     pipeline_options.shuffle = false;
     pipeline_options.max_epochs = 1;
     pipeline_options.scan_policy = std::make_shared<FixedScanPolicy>(g);

@@ -28,13 +28,6 @@ struct CachedDatasetOptions {
   uint64_t seed = 1;
   /// Optional label remapping (e.g. Cars -> Make-Only -> Is-Corvette).
   std::function<int64_t(int64_t)> label_map;
-  /// Thread counts for the staged LoaderPipeline that feeds the build
-  /// (storage fetch and JPEG decode run concurrently; feature extraction
-  /// stays on the calling thread for determinism). io_inflight is the
-  /// per-worker async submission window (LoaderPipelineOptions::io_inflight).
-  int io_threads = 2;
-  int io_inflight = 4;
-  int decode_threads = 4;
   /// Optional decoded-record cache shared with the feeding pipelines. One
   /// Build pass reads each (record, group) once, so hits only appear across
   /// repeated builds over the same source (e.g. per-proxy rebuilds or tuner

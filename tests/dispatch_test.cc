@@ -23,7 +23,7 @@ using arch::Isa;
 
 std::vector<Isa> SupportedSimdTiers() {
   std::vector<Isa> tiers;
-  for (const Isa isa : {Isa::kSse2, Isa::kAvx2}) {
+  for (const Isa isa : {Isa::kAvx2}) {
     // KernelsFor falls back to scalar when the tier is not compiled in;
     // only genuinely distinct tables are worth cross-checking.
     if (arch::IsaSupported(isa) && arch::KernelsFor(isa).isa == isa) {
@@ -58,40 +58,42 @@ TEST(DispatchTest, ParseIsaRoundTripsNamesAndRejectsJunk) {
   EXPECT_FALSE(arch::ParseIsa(nullptr, &parsed));
   EXPECT_FALSE(arch::ParseIsa("", &parsed));
   EXPECT_FALSE(arch::ParseIsa("avx512", &parsed));
-  EXPECT_FALSE(arch::ParseIsa("SSE2", &parsed));  // Names are lowercase.
+  EXPECT_FALSE(arch::ParseIsa("AVX2", &parsed));  // Names are lowercase.
 }
 
 TEST(DispatchTest, ResolveIsaUnsetUsesDetected) {
-  const unsigned all = 0b111;
+  const unsigned all = 0b11;
   std::string warning;
   EXPECT_EQ(arch::ResolveIsa(nullptr, Isa::kAvx2, all, &warning), Isa::kAvx2);
-  EXPECT_EQ(arch::ResolveIsa("", Isa::kSse2, all, &warning), Isa::kSse2);
+  EXPECT_EQ(arch::ResolveIsa("", Isa::kScalar, all, &warning), Isa::kScalar);
   EXPECT_TRUE(warning.empty());
 }
 
 TEST(DispatchTest, ResolveIsaOverrideWins) {
-  const unsigned all = 0b111;
+  const unsigned all = 0b11;
   std::string warning;
   EXPECT_EQ(arch::ResolveIsa("scalar", Isa::kAvx2, all, &warning),
             Isa::kScalar);
-  EXPECT_EQ(arch::ResolveIsa("sse2", Isa::kAvx2, all, &warning), Isa::kSse2);
   EXPECT_EQ(arch::ResolveIsa("avx2", Isa::kScalar, all, &warning),
             Isa::kAvx2);
   EXPECT_TRUE(warning.empty());
 }
 
 TEST(DispatchTest, ResolveIsaUnknownValueWarnsAndFallsBackToScalar) {
-  std::string warning;
-  EXPECT_EQ(arch::ResolveIsa("neon", Isa::kAvx2, 0b111, &warning),
-            Isa::kScalar);
-  EXPECT_NE(warning.find("neon"), std::string::npos);
-  EXPECT_NE(warning.find("scalar"), std::string::npos);
+  // A stale PCR_FORCE_ARCH=sse2 is unknown too: it warns and runs scalar.
+  for (const char* force : {"neon", "sse2"}) {
+    std::string warning;
+    EXPECT_EQ(arch::ResolveIsa(force, Isa::kAvx2, 0b11, &warning),
+              Isa::kScalar);
+    EXPECT_NE(warning.find(force), std::string::npos) << warning;
+    EXPECT_NE(warning.find("scalar"), std::string::npos) << warning;
+  }
 }
 
 TEST(DispatchTest, ResolveIsaUnsupportedTierWarnsAndFallsBackToScalar) {
   std::string warning;
-  // CPU supports scalar+sse2 only; forcing avx2 must not select it.
-  EXPECT_EQ(arch::ResolveIsa("avx2", Isa::kSse2, 0b011, &warning),
+  // CPU supports scalar only; forcing avx2 must not select it.
+  EXPECT_EQ(arch::ResolveIsa("avx2", Isa::kScalar, 0b01, &warning),
             Isa::kScalar);
   EXPECT_NE(warning.find("avx2"), std::string::npos);
   EXPECT_NE(warning.find("not supported"), std::string::npos);

@@ -13,9 +13,8 @@
 #include "data/dataset_spec.h"
 #include "image/metrics.h"
 #include "jpeg/codec.h"
-#include "loader/data_loader.h"
 #include "loader/decode_cache.h"
-#include "loader/prefetcher.h"
+#include "loader/pipeline.h"
 #include "sim/pipeline_sim.h"
 #include "sim/queueing.h"
 #include "storage/sim_env.h"
@@ -166,49 +165,52 @@ TEST_F(IntegrationTest, MssimProfileIsMonotonicAndHighAtScan5) {
   EXPECT_GT(profile[4].mean_mssim, profile[0].mean_mssim);
 }
 
-TEST_F(IntegrationTest, DataLoaderDeliversEpochs) {
+TEST_F(IntegrationTest, PipelineDeliversEachRecordOnceThenEndsTheEpoch) {
   auto ds = PcrDataset::Open(env_, built_->pcr_dir).MoveValue();
-  LoaderOptions options;
+  LoaderPipelineOptions options;
+  options.max_epochs = 1;
   options.scan_policy = std::make_shared<FixedScanPolicy>(2);
-  DataLoader loader(ds.get(), options);
+  LoaderPipeline pipeline(ds.get(), options);
   std::set<int> records_seen;
-  for (size_t i = 0; i < loader.records_per_epoch(); ++i) {
-    auto batch = loader.NextBatch().MoveValue();
-    EXPECT_EQ(batch.scan_group, 2);
-    EXPECT_EQ(static_cast<int>(batch.images.size()), batch.size());
-    records_seen.insert(batch.record_index);
+  for (size_t i = 0; i < pipeline.records_per_epoch(); ++i) {
+    auto batch = pipeline.Next();
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(batch->scan_group, 2);
+    EXPECT_EQ(static_cast<int>(batch->images.size()), batch->size());
+    EXPECT_TRUE(records_seen.insert(batch->record_index).second)
+        << "record " << batch->record_index << " delivered twice";
   }
-  EXPECT_EQ(records_seen.size(), loader.records_per_epoch());
-  EXPECT_EQ(loader.epoch(), 0);
-  loader.NextBatch().MoveValue();
-  EXPECT_EQ(loader.epoch(), 1);
+  EXPECT_EQ(records_seen.size(), pipeline.records_per_epoch());
+  auto end = pipeline.Next();
+  EXPECT_EQ(end.status().code(), StatusCode::kOutOfRange) << end.status();
 }
 
-TEST_F(IntegrationTest, PrefetchingLoaderDeliversBatches) {
+TEST_F(IntegrationTest, PipelineDeliversBatchesAndAccountsBothStages) {
   auto ds = PcrDataset::Open(env_, built_->pcr_dir).MoveValue();
-  PrefetchOptions options;
-  options.num_threads = 2;
-  options.queue_depth = 4;
-  options.loader.scan_policy = std::make_shared<FixedScanPolicy>(1);
-  PrefetchingLoader loader(ds.get(), options);
+  LoaderPipelineOptions options;
+  options.io_threads = 2;
+  options.decode_threads = 2;
+  options.fetch_queue_depth = 4;
+  options.output_queue_depth = 4;
+  options.scan_policy = std::make_shared<FixedScanPolicy>(1);
+  LoaderPipeline pipeline(ds.get(), options);
   for (int i = 0; i < 12; ++i) {
-    auto batch = loader.Next();
+    auto batch = pipeline.Next();
     ASSERT_TRUE(batch.ok()) << batch.status();
     EXPECT_GT(batch->size(), 0);
   }
-  loader.Stop();
-  EXPECT_GE(loader.batches_delivered(), 12);
-  // The staged pipeline underneath accounts both stages.
-  EXPECT_GE(loader.io_stats().items, 12);
-  EXPECT_GE(loader.decode_stats().items, 12);
-  EXPECT_GT(loader.io_stats().bytes, 0u);
-  EXPECT_GT(loader.decode_stats().busy_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(loader.stall_seconds(), loader.io_stall_seconds() +
-                                               loader.decode_stall_seconds());
-  EXPECT_TRUE(loader.status().ok());
+  pipeline.Stop();
+  EXPECT_GE(pipeline.batches_delivered(), 12);
+  EXPECT_GE(pipeline.io_stats().items, 12);
+  EXPECT_GE(pipeline.decode_stats().items, 12);
+  EXPECT_GT(pipeline.io_stats().bytes, 0u);
+  EXPECT_GT(pipeline.decode_stats().busy_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(pipeline.stall_seconds(), pipeline.io_stall_seconds() +
+                                                 pipeline.decode_stall_seconds());
+  EXPECT_TRUE(pipeline.status().ok());
 }
 
-TEST_F(IntegrationTest, PrefetchingLoaderSurfacesStorageFailures) {
+TEST_F(IntegrationTest, PipelineSurfacesStorageFailures) {
   // Copy the dataset, open it, then delete a record file out from under the
   // loader: Next() must return the real I/O failure, not a generic abort.
   const std::string broken_dir = PerProcessTempDir("pcr_integration_broken");
@@ -218,11 +220,12 @@ TEST_F(IntegrationTest, PrefetchingLoaderSurfacesStorageFailures) {
   for (int r = 0; r < ds->num_records(); ++r) {
     std::filesystem::remove(ds->record_path(r));
   }
-  PrefetchOptions options;
-  options.num_threads = 2;
-  PrefetchingLoader loader(ds.get(), options);
-  auto batch = loader.Next();
-  while (batch.ok()) batch = loader.Next();
+  LoaderPipelineOptions options;
+  options.io_threads = 2;
+  options.decode_threads = 2;
+  LoaderPipeline pipeline(ds.get(), options);
+  auto batch = pipeline.Next();
+  while (batch.ok()) batch = pipeline.Next();
   EXPECT_FALSE(batch.status().message().empty());
   EXPECT_NE(batch.status().message().find("I/O stage"), std::string::npos)
       << batch.status();

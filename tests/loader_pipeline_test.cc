@@ -17,7 +17,6 @@
 #include "jpeg/codec.h"
 #include "loader/decode_cache.h"
 #include "loader/pipeline.h"
-#include "loader/prefetcher.h"
 #include "storage/sim_env.h"
 #include "util/logging.h"
 
@@ -352,44 +351,49 @@ TEST(LoaderPipelineTest, DecodeOffDeliversAssembledJpegs) {
   EXPECT_EQ(batches, 6);
 }
 
-TEST(LoaderPipelineTest, PrefetchingLoaderAdapterPreservesBehavior) {
+TEST(LoaderPipelineTest, StopEndsTheStreamAbortedWithAHealthyStatus) {
   FakeSource source(32, 2);
-  PrefetchOptions options;
-  options.num_threads = 2;
-  options.queue_depth = 4;
-  options.loader.scan_policy = std::make_shared<FixedScanPolicy>(1);
-  PrefetchingLoader loader(&source, options);
+  LoaderPipelineOptions options;
+  options.io_threads = 2;
+  options.decode_threads = 2;
+  options.fetch_queue_depth = 4;
+  options.output_queue_depth = 4;
+  options.scan_policy = std::make_shared<FixedScanPolicy>(1);
+  LoaderPipeline pipeline(&source, options);
   for (int i = 0; i < 12; ++i) {
-    auto batch = loader.Next();
+    auto batch = pipeline.Next();
     ASSERT_TRUE(batch.ok()) << batch.status();
     EXPECT_EQ(batch->scan_group, 1);
     EXPECT_GT(batch->size(), 0);
   }
-  loader.Stop();
-  auto stopped = loader.Next();
-  while (stopped.ok()) stopped = loader.Next();
-  EXPECT_EQ(stopped.status().message(), "prefetching loader stopped");
-  EXPECT_GE(loader.batches_delivered(), 12);
-  EXPECT_GE(loader.io_stats().items, 12);
-  EXPECT_GE(loader.decode_stats().items, 12);
-  EXPECT_DOUBLE_EQ(loader.stall_seconds(), loader.io_stall_seconds() +
-                                               loader.decode_stall_seconds());
+  pipeline.Stop();
+  auto stopped = pipeline.Next();
+  while (stopped.ok()) stopped = pipeline.Next();
+  // Stop() is the only Aborted end that leaves the pipeline's status OK.
+  EXPECT_EQ(stopped.status().code(), StatusCode::kAborted) << stopped.status();
+  EXPECT_TRUE(pipeline.status().ok()) << pipeline.status();
+  EXPECT_GE(pipeline.batches_delivered(), 12);
+  EXPECT_GE(pipeline.io_stats().items, 12);
+  EXPECT_GE(pipeline.decode_stats().items, 12);
+  EXPECT_DOUBLE_EQ(pipeline.stall_seconds(), pipeline.io_stall_seconds() +
+                                                 pipeline.decode_stall_seconds());
 }
 
 TEST(LoaderPipelineTest, PrefetchPassesThroughAbortedStageFailures) {
-  // An Aborted-coded *storage* failure must not be rewritten into the
-  // generic "prefetching loader stopped" message: only Stop() is generic.
+  // An Aborted-coded *storage* failure keeps its own message and becomes the
+  // pipeline's status, which tells it apart from a Stop().
   FakeSource source(16, 1);
   source.set_fail_fetch_at(0);
   source.set_fetch_failure(Status::Aborted("lease lost on shard"));
-  PrefetchOptions options;
-  options.loader.shuffle = false;
-  PrefetchingLoader loader(&source, options);
-  auto batch = loader.Next();
-  while (batch.ok()) batch = loader.Next();
+  LoaderPipelineOptions options;
+  options.shuffle = false;
+  LoaderPipeline pipeline(&source, options);
+  auto batch = pipeline.Next();
+  while (batch.ok()) batch = pipeline.Next();
   EXPECT_NE(batch.status().message().find("lease lost on shard"),
             std::string::npos)
       << batch.status();
+  EXPECT_FALSE(pipeline.status().ok());
 }
 
 TEST(LoaderPipelineTest, SecondEpochIsServedEntirelyFromTheCache) {
@@ -558,30 +562,52 @@ TEST(LoaderPipelineTest, SetScanPolicySwitchesLiveStream) {
   EXPECT_TRUE(saw_new_group) << "live policy swap never took effect";
 }
 
-TEST(LoaderPipelineTest, SynchronousDataLoaderUsesTheCache) {
+TEST(LoaderPipelineTest, SharedCacheHitsAcrossPipelinesOnlyAtTheSameGroup) {
   FakeSource source(8, 2);
-  LoaderOptions options;
-  options.decode_cache_bytes = 16ull << 20;
-  options.shuffle = false;
-  DataLoader loader(&source, options);
-  ASSERT_NE(loader.decode_cache(), nullptr);
+  DecodeCacheOptions cache_options;
+  cache_options.capacity_bytes = 16ull << 20;
+  auto cache = std::make_shared<DecodeCache>(cache_options);
+  const uint64_t dataset_id = cache->RegisterDataset();
 
-  auto first = loader.LoadRecord(5, 2);
-  ASSERT_TRUE(first.ok()) << first.status();
-  auto again = loader.LoadRecord(5, 2);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(loader.stats().cache_hits, 1);
-  EXPECT_EQ(loader.stats().records_loaded, 2);
-  ASSERT_EQ(again->size(), first->size());
-  for (int i = 0; i < first->size(); ++i) {
-    EXPECT_EQ(std::memcmp(again->images[i].data(), first->images[i].data(),
-                          first->images[i].size_bytes()),
-              0);
+  // One epoch at `group` through a fresh pipeline over the shared cache.
+  auto run_epoch = [&](int group, std::map<int, LoadedBatch>* batches) {
+    LoaderPipelineOptions options;
+    options.max_epochs = 1;
+    options.scan_policy = std::make_shared<FixedScanPolicy>(group);
+    options.decode_cache = cache;
+    options.cache_dataset_id = dataset_id;
+    LoaderPipeline pipeline(&source, options);
+    for (;;) {
+      auto batch = pipeline.Next();
+      if (!batch.ok()) {
+        EXPECT_EQ(batch.status().code(), StatusCode::kOutOfRange)
+            << batch.status();
+        break;
+      }
+      batches->emplace(batch->record_index, std::move(batch).MoveValue());
+    }
+    return pipeline.io_stats();
+  };
+
+  std::map<int, LoadedBatch> first, again, other;
+  EXPECT_EQ(run_epoch(2, &first).cache_hits, 0);
+  const StageStatsSnapshot hits = run_epoch(2, &again);
+  EXPECT_EQ(hits.cache_hits, 8);
+  EXPECT_EQ(hits.cache_misses, 0);
+  ASSERT_EQ(again.size(), first.size());
+  for (const auto& [record, batch] : first) {
+    const LoadedBatch& hit = again.at(record);
+    ASSERT_EQ(hit.size(), batch.size());
+    for (int i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(std::memcmp(hit.images[i].data(), batch.images[i].data(),
+                            batch.images[i].size_bytes()),
+                0);
+    }
   }
   // A different scan group is a different key.
-  auto other = loader.LoadRecord(5, 1);
-  ASSERT_TRUE(other.ok()) << other.status();
-  EXPECT_EQ(loader.stats().cache_hits, 1);
+  const StageStatsSnapshot misses = run_epoch(1, &other);
+  EXPECT_EQ(misses.cache_hits, 0);
+  EXPECT_EQ(misses.cache_misses, 8);
 }
 
 TEST(LoaderPipelineTest, AsyncWindowDeliversExactlyOncePerEpoch) {
@@ -818,12 +844,13 @@ TEST(LoaderPipelineTest, IoBackendGaugesAreReported) {
 TEST(LoaderPipelineTest, PrefetchErrorReplacesGenericAbort) {
   FakeSource source(16, 1);
   source.set_fail_fetch_at(0);
-  PrefetchOptions options;
-  options.num_threads = 2;
-  options.loader.shuffle = false;
-  PrefetchingLoader loader(&source, options);
-  auto batch = loader.Next();
-  while (batch.ok()) batch = loader.Next();
+  LoaderPipelineOptions options;
+  options.io_threads = 2;
+  options.decode_threads = 2;
+  options.shuffle = false;
+  LoaderPipeline pipeline(&source, options);
+  auto batch = pipeline.Next();
+  while (batch.ok()) batch = pipeline.Next();
   EXPECT_TRUE(batch.status().IsIOError()) << batch.status();
   EXPECT_NE(batch.status().message().find("injected fetch failure"),
             std::string::npos)

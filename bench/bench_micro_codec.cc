@@ -79,6 +79,19 @@ void BM_TranscodeToProgressive(benchmark::State& state) {
 }
 BENCHMARK(BM_TranscodeToProgressive);
 
+// The entropy encode alone: coefficients prepared once, so each iteration
+// is one progressive EncodeFromData (tokenize, build tables, emit).
+void BM_EncodeFromDataProgressive(benchmark::State& state) {
+  const jpeg::JpegData data =
+      jpeg::DecodeToCoefficients(SharedBaseline()).MoveValue();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        jpeg::EncodeFromData(data, /*progressive=*/true).MoveValue());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EncodeFromDataProgressive);
+
 void BM_DecodeBaseline(benchmark::State& state) {
   const std::string baseline = SharedBaseline();
   for (auto _ : state) {

@@ -4,6 +4,7 @@
 // entropy data.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -14,43 +15,89 @@
 
 namespace pcr::jpeg {
 
-/// MSB-first bit writer with byte stuffing.
+/// MSB-first bit writer with byte stuffing, appending to a string. Bits
+/// gather in a 64-bit accumulator and leave as whole 32-bit words: a word
+/// holding no 0xFF byte (the common case) is stored in one go, any other
+/// byte by byte with a 0x00 stuff byte after each 0xFF. Words are stored
+/// through a raw pointer into slack the writer keeps at the end of the
+/// string; the string holds exactly the written bytes once AlignToByte
+/// returns, and again when the writer is destroyed.
 class BitWriter {
  public:
-  explicit BitWriter(std::string* out) : out_(out) {}
+  explicit BitWriter(std::string* out)
+      : out_(out), size_(out->size()), capacity_(size_) {}
+  ~BitWriter() { TrimSlack(); }
 
-  /// Writes the low `count` bits of `bits`, MSB first. count in [0, 24].
+  BitWriter(const BitWriter&) = delete;
+  BitWriter& operator=(const BitWriter&) = delete;
+
+  /// Writes the low `count` bits of `bits`, MSB first. count in [0, 32].
   void WriteBits(uint32_t bits, int count) {
-    PCR_DCHECK(count >= 0 && count <= 24);
-    if (count == 0) return;
-    acc_ = (acc_ << count) | (bits & ((1u << count) - 1));
+    PCR_DCHECK(count >= 0 && count <= 32);
+    acc_ = (acc_ << count) | (bits & ((uint64_t{1} << count) - 1));
     acc_count_ += count;
-    while (acc_count_ >= 8) {
-      const uint8_t byte =
-          static_cast<uint8_t>((acc_ >> (acc_count_ - 8)) & 0xff);
-      EmitByte(byte);
-      acc_count_ -= 8;
-    }
+    if (acc_count_ >= 32) FlushWord();
   }
 
   void WriteBit(int bit) { WriteBits(bit & 1, 1); }
 
   /// Pads the final partial byte with 1-bits (per the JPEG spec) and flushes.
   void AlignToByte() {
-    if (acc_count_ > 0) {
-      const int pad = 8 - acc_count_;
-      WriteBits((1u << pad) - 1, pad);
+    const int pad = -acc_count_ & 7;
+    acc_ = (acc_ << pad) | ((1u << pad) - 1);
+    acc_count_ += pad;
+    Reserve(8);
+    while (acc_count_ > 0) {
+      acc_count_ -= 8;
+      PutByte(static_cast<uint8_t>(acc_ >> acc_count_));
     }
+    TrimSlack();
   }
 
  private:
-  void EmitByte(uint8_t byte) {
-    out_->push_back(static_cast<char>(byte));
-    if (byte == 0xff) out_->push_back('\0');  // Stuff byte.
+  // Moves the oldest 32 buffered bits to the output.
+  void FlushWord() {
+    acc_count_ -= 32;
+    const uint32_t word = static_cast<uint32_t>(acc_ >> acc_count_);
+    Reserve(8);
+    const uint32_t inverted = ~word;  // A 0xFF byte becomes a zero byte.
+    if (((inverted - 0x01010101u) & ~inverted & 0x80808080u) == 0) {
+      const uint32_t big_endian = __builtin_bswap32(word);
+      std::memcpy(buf_ + size_, &big_endian, 4);
+      size_ += 4;
+      return;
+    }
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      PutByte(static_cast<uint8_t>(word >> shift));
+    }
+  }
+
+  // Ensures room for `n` more bytes past size_: first the string's spare
+  // capacity, then geometric growth.
+  void Reserve(size_t n) {
+    if (capacity_ - size_ >= n) return;
+    out_->resize(std::max(out_->capacity(), 2 * size_ + n));
+    buf_ = out_->data();
+    capacity_ = out_->size();
+  }
+
+  // Drops the unwritten slack, leaving the string to whoever appends next.
+  void TrimSlack() {
+    if (capacity_ == size_) return;
+    out_->resize(size_);
+    capacity_ = size_;
+  }
+
+  void PutByte(uint8_t byte) {
+    buf_[size_++] = static_cast<char>(byte);
+    if (byte == 0xff) buf_[size_++] = '\0';  // Stuff byte.
   }
 
   std::string* out_;
-  uint64_t acc_ = 0;
+  char* buf_ = nullptr;  // out_->data() once Reserve has grown the string.
+  size_t size_;          // Bytes of out_ written so far.
+  size_t capacity_;      // out_->size(): writable bytes at buf_.
+  uint64_t acc_ = 0;     // Low acc_count_ bits are pending output.
   int acc_count_ = 0;
 };
 

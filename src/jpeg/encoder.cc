@@ -2,9 +2,14 @@
 // progressive stream. Progressive scans follow ITU-T T.81 G.1; the AC
 // refinement encoder mirrors the correction-bit buffering of libjpeg's
 // jcphuff.c, which the decoder (decoder.cc) inverts.
+//
+// Entropy coding walks each scan once. The walk turns coefficients into
+// compact tokens (a Huffman symbol plus its extra bits, or raw correction
+// bits) and counts symbol frequencies as it goes; the per-scan optimal
+// tables are built from those counts, and one loop writes the tokens.
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <memory>
 
 #include "jpeg/bit_io.h"
 #include "jpeg/codec.h"
@@ -17,16 +22,16 @@ namespace pcr::jpeg {
 
 namespace {
 
-// Magnitude category: number of bits to represent |v| (v != 0 -> >= 1).
-int NumBits(int v) {
-  if (v < 0) v = -v;
-  int n = 0;
-  while (v > 0) {
-    ++n;
-    v >>= 1;
-  }
-  return n;
-}
+// Huffman tables of a scan, by id: class (0 = DC, 1 = AC) * 2 + slot, with
+// slot 0 for the first component and 1 for chroma.
+constexpr int kNumTables = 4;
+// Pseudo-table id of raw bits, written with no Huffman code in front:
+// DC and AC correction bits.
+constexpr uint32_t kRawBits = kNumTables;
+
+int Slot(int ci) { return ci == 0 ? 0 : 1; }
+int DcTable(int ci) { return Slot(ci); }
+int AcTable(int ci) { return 2 + Slot(ci); }
 
 void AppendMarker(std::string* out, uint8_t marker) {
   out->push_back(static_cast<char>(0xff));
@@ -60,8 +65,8 @@ void AppendDqt(std::string* out, int slot, const QuantTable& table) {
   }
 }
 
-void AppendSof(std::string* out, const FrameInfo& frame) {
-  AppendMarker(out, frame.progressive ? kSOF2 : kSOF0);
+void AppendSof(std::string* out, const FrameInfo& frame, bool progressive) {
+  AppendMarker(out, progressive ? kSOF2 : kSOF0);
   AppendU16(out, static_cast<uint16_t>(8 + 3 * frame.components.size()));
   out->push_back(8);  // Sample precision.
   AppendU16(out, static_cast<uint16_t>(frame.height));
@@ -86,295 +91,328 @@ void AppendDht(std::string* out, int table_class, int slot,
               table.num_values());
 }
 
-void AppendSos(std::string* out, const FrameInfo& frame, const ScanSpec& scan,
-               const std::vector<int>& dc_slot, const std::vector<int>& ac_slot) {
+void AppendSos(std::string* out, const FrameInfo& frame, const ScanSpec& scan) {
   AppendMarker(out, kSOS);
   AppendU16(out,
             static_cast<uint16_t>(6 + 2 * scan.component_indices.size()));
   out->push_back(static_cast<char>(scan.component_indices.size()));
   for (int ci : scan.component_indices) {
     out->push_back(static_cast<char>(frame.components[ci].id));
-    out->push_back(static_cast<char>((dc_slot[ci] << 4) | ac_slot[ci]));
+    out->push_back(static_cast<char>((Slot(ci) << 4) | Slot(ci)));
   }
   out->push_back(static_cast<char>(scan.ss));
   out->push_back(static_cast<char>(scan.se));
   out->push_back(static_cast<char>((scan.ah << 4) | scan.al));
 }
 
-// Sink abstraction letting one scan-encoding routine serve both the
-// statistics pass (optimal Huffman table construction) and the emit pass.
-class EntropySink {
- public:
-  virtual ~EntropySink() = default;
-  virtual void Symbol(int table_class, int slot, int sym) = 0;
-  virtual void Bits(uint32_t bits, int count) = 0;
-};
+uint32_t LowBits(uint32_t v, int n) { return v & ((1u << n) - 1); }
 
-class StatsSink : public EntropySink {
- public:
-  void Symbol(int table_class, int slot, int sym) override {
-    freqs_[table_class][slot].Count(sym);
-  }
-  void Bits(uint32_t, int) override {}
+// A token is one Huffman code and the extra bits that follow it, packed as
+//   [31:29] table id (kRawBits: no code)   [28:24] extra-bit count, 0..16
+//   [23:16] symbol                         [15:0]  extra bits
+uint32_t MakeToken(uint32_t table, int symbol, uint32_t extra, int nbits) {
+  return table << 29 | static_cast<uint32_t>(nbits) << 24 |
+         static_cast<uint32_t>(symbol) << 16 | LowBits(extra, nbits);
+}
 
-  HuffFrequencies& freq(int table_class, int slot) {
-    return freqs_[table_class][slot];
-  }
-
- private:
-  HuffFrequencies freqs_[2][4];
-};
-
-class EmitSink : public EntropySink {
- public:
-  EmitSink(BitWriter* writer, const HuffTable* (*lookup)(void*, int, int),
-           void* ctx)
-      : writer_(writer), lookup_(lookup), ctx_(ctx) {}
-
-  void Symbol(int table_class, int slot, int sym) override {
-    const HuffTable* t = lookup_(ctx_, table_class, slot);
-    PCR_CHECK(t != nullptr);
-    t->EncodeSymbol(writer_, sym);
-  }
-  void Bits(uint32_t bits, int count) override {
-    writer_->WriteBits(bits, count);
-  }
-
- private:
-  BitWriter* writer_;
-  const HuffTable* (*lookup_)(void*, int, int);
-  void* ctx_;
-};
-
-// Per-scan entropy encoding state and routines.
-class ScanEncoder {
- public:
-  ScanEncoder(const JpegData& data, const ScanSpec& scan,
-              const std::vector<int>& dc_slot, const std::vector<int>& ac_slot,
-              EntropySink* sink)
-      : data_(data), scan_(scan), dc_slot_(dc_slot), ac_slot_(ac_slot),
-        sink_(sink) {
-    dc_pred_.assign(data.frame.components.size(), 0);
-  }
-
-  void EncodeScan() {
-    const FrameInfo& frame = data_.frame;
-    const bool interleaved = scan_.component_indices.size() > 1;
-    if (interleaved) {
-      // Interleaved (DC or baseline) scan in MCU order over padded dims.
-      const int mcus_x = frame.mcus_x();
-      const int mcus_y = frame.mcus_y();
-      for (int my = 0; my < mcus_y; ++my) {
-        for (int mx = 0; mx < mcus_x; ++mx) {
-          for (int ci : scan_.component_indices) {
-            const auto& comp = frame.components[ci];
-            for (int v = 0; v < comp.v_samp; ++v) {
-              for (int h = 0; h < comp.h_samp; ++h) {
-                EncodeBlock(ci, mx * comp.h_samp + h, my * comp.v_samp + v);
-              }
+// Visits the blocks of `scan` in coding order: interleaved scans (DC or
+// baseline) in MCU order over padded dimensions, single-component scans over
+// the component's nominal blocks.
+template <typename Fn>
+void ForEachScanBlock(const JpegData& data, const ScanSpec& scan, Fn&& fn) {
+  const FrameInfo& frame = data.frame;
+  if (scan.component_indices.size() > 1) {
+    const int mcus_x = frame.mcus_x();
+    const int mcus_y = frame.mcus_y();
+    for (int my = 0; my < mcus_y; ++my) {
+      for (int mx = 0; mx < mcus_x; ++mx) {
+        for (int ci : scan.component_indices) {
+          const auto& comp = frame.components[ci];
+          for (int v = 0; v < comp.v_samp; ++v) {
+            for (int h = 0; h < comp.h_samp; ++h) {
+              fn(ci, data.coefficients.block(ci, mx * comp.h_samp + h,
+                                             my * comp.v_samp + v));
             }
           }
         }
       }
+    }
+    return;
+  }
+  const int ci = scan.component_indices[0];
+  const auto& comp = frame.components[ci];
+  for (int by = 0; by < comp.height_blocks; ++by) {
+    for (int bx = 0; bx < comp.width_blocks; ++bx) {
+      fn(ci, data.coefficients.block(ci, bx, by));
+    }
+  }
+}
+
+// Turns one scan's coefficients into tokens in a single walk, counting the
+// symbol frequencies of each table as it goes. Each block costs one pass
+// over its band in zigzag order to build a 64-bit mask of the coefficients
+// that are nonzero after the point transform; runs, ZRLs and correction
+// bits then come from walking the mask's set bits.
+class ScanTokenizer {
+ public:
+  ScanTokenizer(const JpegData& data, const ScanSpec& scan, bool progressive,
+                std::vector<uint32_t>* tokens, HuffFrequencies* freqs)
+      : data_(data), scan_(scan), progressive_(progressive), tokens_(tokens),
+        freqs_(freqs), ac_table_(AcTable(scan.component_indices[0])) {}
+
+  // Tokenizes the scan. False when a DC difference or AC value needs more
+  // than 15 magnitude bits, which no JPEG decoder accepts.
+  bool Run() {
+    auto each = [this](auto&& fn) { ForEachScanBlock(data_, scan_, fn); };
+    if (!progressive_) {
+      each([this](int ci, const CoeffBlock& b) { BaselineBlock(ci, b); });
+    } else if (scan_.IsDcScan() && scan_.ah == 0) {
+      each([this](int ci, const CoeffBlock& b) {
+        DcDifference(ci, b[0] >> scan_.al);  // Arithmetic shift (signed).
+      });
+    } else if (scan_.IsDcScan()) {
+      each([this](int, const CoeffBlock& b) {
+        RawBits(static_cast<uint32_t>(b[0] >> scan_.al) & 1, 1);
+      });
+    } else if (scan_.ah == 0) {
+      each([this](int, const CoeffBlock& b) { AcFirstBlock(b); });
     } else {
-      // Non-interleaved: nominal block dims of the single component.
-      const int ci = scan_.component_indices[0];
-      const auto& comp = frame.components[ci];
-      for (int by = 0; by < comp.height_blocks; ++by) {
-        for (int bx = 0; bx < comp.width_blocks; ++bx) {
-          EncodeBlock(ci, bx, by);
-        }
-      }
+      each([this](int, const CoeffBlock& b) { AcRefineBlock(b); });
     }
     FlushEobRun();
+    return !too_wide_;
   }
 
  private:
-  void EncodeBlock(int ci, int bx, int by) {
-    const CoeffBlock& block = data_.coefficients.block(ci, bx, by);
-    if (!data_.frame.progressive) {
-      EncodeBaselineBlock(ci, block);
+  // Magnitude category: bits needed to represent v (0 for 0).
+  static int NumBits(uint32_t v) { return v == 0 ? 0 : 32 - __builtin_clz(v); }
+
+  // A Huffman symbol followed by `nbits` (<= 64) extra bits, the last one
+  // lowest. Extra bits beyond the token's 16 continue as raw bits.
+  void Symbol(int table, int symbol, uint64_t extra = 0, int nbits = 0) {
+    freqs_[table].Count(symbol);
+    if (nbits <= 16) {
+      tokens_->push_back(
+          MakeToken(table, symbol, static_cast<uint32_t>(extra), nbits));
       return;
     }
-    if (scan_.IsDcScan()) {
-      if (scan_.ah == 0) {
-        EncodeDcFirst(ci, block);
-      } else {
-        EncodeDcRefine(block);
+    tokens_->push_back(MakeToken(
+        table, symbol, static_cast<uint32_t>(extra >> (nbits - 16)), 16));
+    RawBits64(extra, nbits - 16);
+  }
+
+  // Appends up to 16 raw bits, packed into the previous token when that is
+  // a raw-bits token with room.
+  void RawBits(uint32_t bits, int count) {
+    if (!tokens_->empty()) {
+      uint32_t& last = tokens_->back();
+      const int have = (last >> 24) & 31;
+      if (last >> 29 == kRawBits && have + count <= 16) {
+        last = MakeToken(kRawBits, 0, (last & 0xffff) << count | bits,
+                         have + count);
+        return;
       }
-    } else {
-      if (scan_.ah == 0) {
-        EncodeAcFirst(ci, block);
-      } else {
-        EncodeAcRefine(ci, block);
-      }
+    }
+    tokens_->push_back(MakeToken(kRawBits, 0, bits, count));
+  }
+
+  // Appends `count` (<= 63) raw bits, the last one lowest.
+  void RawBits64(uint64_t bits, int count) {
+    while (count > 0) {
+      const int n = count < 16 ? count : 16;
+      count -= n;
+      RawBits(LowBits(static_cast<uint32_t>(bits >> count), n), n);
     }
   }
 
-  // Emits `value` as nbits of magnitude bits (ones-complement for negative).
-  void EmitValueBits(int value, int nbits) {
-    uint32_t bits = static_cast<uint32_t>(value);
-    if (value < 0) bits = static_cast<uint32_t>(value - 1);
-    sink_->Bits(bits & ((1u << nbits) - 1), nbits);
+  // Codes `value` as the difference from the component's previous DC: its
+  // category symbol, then its magnitude bits (ones' complement if negative).
+  void DcDifference(int ci, int value) {
+    const int diff = value - dc_pred_[ci];
+    dc_pred_[ci] = value;
+    const uint32_t magnitude = static_cast<uint32_t>(diff < 0 ? -diff : diff);
+    const int nbits = NumBits(magnitude);
+    too_wide_ |= nbits > 15;
+    Symbol(DcTable(ci), nbits, diff < 0 ? ~magnitude : magnitude, nbits);
   }
 
-  void EncodeBaselineBlock(int ci, const CoeffBlock& block) {
-    // DC.
-    const int dc = block[0];
-    const int diff = dc - dc_pred_[ci];
-    dc_pred_[ci] = dc;
-    const int nbits = NumBits(diff);
-    sink_->Symbol(0, dc_slot_[ci], nbits);
-    if (nbits > 0) EmitValueBits(diff, nbits);
-    // AC.
-    int run = 0;
-    for (int k = 1; k <= 63; ++k) {
-      const int v = block[kZigzag[k]];
-      if (v == 0) {
-        ++run;
-        continue;
+  // Masks of the band's coefficients whose magnitude is at least 2^bit,
+  // 2^(bit + 1), ... (N masks), bit k for zigzag index k. |c| >= t is one
+  // unsigned compare, (uint16)(c + t - 1) > 2t - 2, and the masks fill from
+  // the top, so a coefficient costs one load and a compare and an
+  // add-with-carry per mask.
+  template <int N>
+  static std::array<uint64_t, N> AtLeastMasks(const CoeffBlock& block, int ss,
+                                              int se, int bit) {
+    std::array<uint64_t, N> masks{};
+    for (int k = se; k >= ss; --k) {
+      const int c = block[kZigzag[k]];
+      for (int i = 0; i < N; ++i) {
+        const uint32_t t = 1u << (bit + i);
+        const bool at_least = static_cast<uint16_t>(c + t - 1) > 2 * t - 2;
+        masks[i] = masks[i] * 2 + at_least;
       }
-      while (run > 15) {
-        sink_->Symbol(1, ac_slot_[ci], 0xF0);  // ZRL.
-        run -= 16;
-      }
-      const int abits = NumBits(v);
-      sink_->Symbol(1, ac_slot_[ci], (run << 4) | abits);
-      EmitValueBits(v, abits);
-      run = 0;
     }
-    if (run > 0) sink_->Symbol(1, ac_slot_[ci], 0x00);  // EOB.
+    for (uint64_t& mask : masks) mask <<= ss;
+    return masks;
   }
 
-  void EncodeDcFirst(int ci, const CoeffBlock& block) {
-    const int dc = block[0] >> scan_.al;  // Arithmetic shift (signed).
-    const int diff = dc - dc_pred_[ci];
-    dc_pred_[ci] = dc;
-    const int nbits = NumBits(diff);
-    sink_->Symbol(0, dc_slot_[ci], nbits);
-    if (nbits > 0) EmitValueBits(diff, nbits);
-  }
-
-  void EncodeDcRefine(const CoeffBlock& block) {
-    sink_->Bits(static_cast<uint32_t>(block[0] >> scan_.al) & 1, 1);
-  }
-
-  void EncodeAcFirst(int ci, const CoeffBlock& block) {
-    int run = 0;
-    for (int k = scan_.ss; k <= scan_.se; ++k) {
-      int v = block[kZigzag[k]];
-      const bool negative = v < 0;
-      if (negative) v = -v;
-      v >>= scan_.al;
-      if (v == 0) {
-        ++run;
-        continue;
-      }
+  // Emits the run/size symbols of the nonzero coefficients in `mask` (the
+  // first-pass AC coding shared by baseline and progressive scans). Returns
+  // the zigzag index of the last one, ss - 1 if none.
+  int AcValues(int table, const CoeffBlock& block, uint64_t mask, int ss,
+               int al) {
+    int prev = ss - 1;
+    while (mask != 0) {
+      const int k = __builtin_ctzll(mask);
+      mask &= mask - 1;
+      int run = k - prev - 1;
+      prev = k;
       FlushEobRun();
       while (run > 15) {
-        sink_->Symbol(1, ac_slot_[ci], 0xF0);
+        Symbol(table, 0xF0);  // ZRL.
         run -= 16;
       }
-      const int nbits = NumBits(v);
-      sink_->Symbol(1, ac_slot_[ci], (run << 4) | nbits);
-      EmitValueBits(negative ? -v : v, nbits);
-      run = 0;
+      const int c = block[kZigzag[k]];
+      const uint32_t a = static_cast<uint32_t>(c < 0 ? -c : c) >> al;
+      const int nbits = NumBits(a);
+      too_wide_ |= nbits > 15;
+      Symbol(table, run << 4 | nbits, c < 0 ? ~a : a, nbits);
     }
-    if (run > 0) {
-      ++eob_run_;
-      if (eob_run_ == 0x7FFF) FlushEobRun();
-    }
-    pending_ac_slot_ = ac_slot_[ci];
+    return prev;
   }
 
-  void EncodeAcRefine(int ci, const CoeffBlock& block) {
+  void BaselineBlock(int ci, const CoeffBlock& block) {
+    DcDifference(ci, block[0]);
+    const uint64_t mask = AtLeastMasks<1>(block, 1, 63, 0)[0];
+    const int table = AcTable(ci);
+    if (AcValues(table, block, mask, 1, 0) < 63) {
+      Symbol(table, 0x00);  // EOB.
+    }
+  }
+
+  void AcFirstBlock(const CoeffBlock& block) {
+    const uint64_t mask =
+        AtLeastMasks<1>(block, scan_.ss, scan_.se, scan_.al)[0];
+    if (AcValues(ac_table_, block, mask, scan_.ss, scan_.al) < scan_.se) {
+      ExtendEobRun(0, 0);
+    }
+  }
+
+  // Successive-approximation AC refinement (G.1.2.3), with libjpeg's
+  // correction-bit buffering: coefficients already nonzero from earlier
+  // scans send one correction bit each, written after the next symbol of
+  // the block or, when none follows, with the block's EOB run.
+  void AcRefineBlock(const CoeffBlock& block) {
+    const int ss = scan_.ss;
+    const int se = scan_.se;
     const int al = scan_.al;
-    int absval[64];
-    int eob_idx = scan_.ss - 1;  // Last newly-nonzero index.
-    for (int k = scan_.ss; k <= scan_.se; ++k) {
-      int v = block[kZigzag[k]];
-      if (v < 0) v = -v;
-      v >>= al;
-      absval[k] = v;
-      if (v == 1) eob_idx = k;
-    }
+    const auto [nonzero, old] = AtLeastMasks<2>(block, ss, se, al);
+    // Magnitude exactly 1 after the point transform: nonzero from this scan
+    // on. The others were nonzero before and send a correction bit.
+    const uint64_t newly = nonzero & ~old;
+    const int last_newly = newly != 0 ? 63 - __builtin_clzll(newly) : ss - 1;
 
+    uint64_t pending = 0;  // Correction bits since the last symbol.
+    int pending_count = 0;
     int run = 0;
-    std::vector<uint8_t> block_bits;  // Correction bits since last symbol.
-    for (int k = scan_.ss; k <= scan_.se; ++k) {
-      const int v = absval[k];
-      if (v == 0) {
-        ++run;
+    int prev = ss - 1;
+    uint64_t mask = nonzero;
+    while (mask != 0) {
+      const int k = __builtin_ctzll(mask);
+      mask &= mask - 1;
+      run += k - prev - 1;
+      prev = k;
+      if (k <= last_newly) {
+        while (run > 15) {
+          FlushEobRun();
+          Symbol(ac_table_, 0xF0, pending, pending_count);  // ZRL.
+          run -= 16;
+          pending = 0;
+          pending_count = 0;
+        }
+      }
+      const int c = block[kZigzag[k]];
+      if ((newly >> k & 1) == 0) {
+        const uint32_t a = static_cast<uint32_t>(c < 0 ? -c : c) >> al;
+        pending = pending << 1 | (a & 1);
+        ++pending_count;
         continue;
       }
-      while (run > 15 && k <= eob_idx) {
-        FlushEobRun();
-        sink_->Symbol(1, ac_slot_[ci], 0xF0);
-        run -= 16;
-        EmitBufferedBits(&block_bits);
-      }
-      if (v > 1) {
-        // Already nonzero from earlier scans: buffer its correction bit.
-        block_bits.push_back(static_cast<uint8_t>(v & 1));
-        continue;
-      }
-      // Newly nonzero this scan.
       FlushEobRun();
-      sink_->Symbol(1, ac_slot_[ci], (run << 4) | 1);
-      sink_->Bits(block[kZigzag[k]] < 0 ? 0 : 1, 1);
-      EmitBufferedBits(&block_bits);
+      // The sign bit, then the pending correction bits.
+      const uint64_t sign = c < 0 ? 0 : 1;
+      Symbol(ac_table_, run << 4 | 1, sign << pending_count | pending,
+             pending_count + 1);
+      pending = 0;
+      pending_count = 0;
       run = 0;
     }
-    if (run > 0 || !block_bits.empty()) {
-      ++eob_run_;
-      refinement_bits_.insert(refinement_bits_.end(), block_bits.begin(),
-                              block_bits.end());
-      // Flush well before the 32767 EOB-run ceiling or a large bit backlog.
-      if (eob_run_ == 0x7FFF || refinement_bits_.size() > 900) {
-        FlushEobRun();
-      }
-    }
-    pending_ac_slot_ = ac_slot_[ci];
+    run += se - prev;
+    if (run > 0 || pending_count > 0) ExtendEobRun(pending, pending_count);
   }
 
-  void EmitBufferedBits(std::vector<uint8_t>* bits) {
-    for (uint8_t b : *bits) sink_->Bits(b, 1);
-    bits->clear();
+  // Adds a block to the current EOB run, with the correction bits that
+  // follow the run's symbol. The symbol's value depends on the run's final
+  // length, so a placeholder token holds its place until FlushEobRun.
+  void ExtendEobRun(uint64_t bits, int count) {
+    if (eob_run_ == 0) {
+      eob_token_ = tokens_->size();
+      tokens_->push_back(MakeToken(ac_table_, 0, 0, 0));  // Not raw bits.
+    }
+    ++eob_run_;
+    RawBits64(bits, count);
+    eob_bits_ += count;
+    // Flush at the 32767-block ceiling or once the bit backlog is large.
+    if (eob_run_ == 0x7FFF || eob_bits_ > 900) FlushEobRun();
   }
 
   void FlushEobRun() {
-    if (eob_run_ > 0) {
-      const int nbits = NumBits(eob_run_) - 1;
-      sink_->Symbol(1, pending_ac_slot_, nbits << 4);
-      if (nbits > 0) {
-        sink_->Bits(static_cast<uint32_t>(eob_run_) & ((1u << nbits) - 1),
-                    nbits);
-      }
-      eob_run_ = 0;
-    }
-    EmitBufferedBits(&refinement_bits_);
+    if (eob_run_ == 0) return;
+    const int nbits = NumBits(static_cast<uint32_t>(eob_run_)) - 1;
+    freqs_[ac_table_].Count(nbits << 4);
+    (*tokens_)[eob_token_] = MakeToken(ac_table_, nbits << 4,
+                                       static_cast<uint32_t>(eob_run_), nbits);
+    eob_run_ = 0;
+    eob_bits_ = 0;
   }
 
   const JpegData& data_;
   const ScanSpec& scan_;
-  const std::vector<int>& dc_slot_;
-  const std::vector<int>& ac_slot_;
-  EntropySink* sink_;
-  std::vector<int> dc_pred_;
+  const bool progressive_;
+  std::vector<uint32_t>* tokens_;
+  HuffFrequencies* freqs_;
+  const int ac_table_;  // Progressive AC scans have a single component.
+  int dc_pred_[4] = {0, 0, 0, 0};
+  bool too_wide_ = false;
   int eob_run_ = 0;
-  int pending_ac_slot_ = 0;
-  std::vector<uint8_t> refinement_bits_;
+  int eob_bits_ = 0;
+  size_t eob_token_ = 0;
 };
 
-struct ScanTables {
-  // Slot -> table; only slots referenced by the scan are populated.
-  std::unique_ptr<HuffTable> dc[4];
-  std::unique_ptr<HuffTable> ac[4];
-};
+// Writes a scan's tokens with `tables` (indexed by table id).
+void EmitTokens(const std::vector<uint32_t>& tokens,
+                const HuffTable* const* tables, std::string* out) {
+  // Code word and length by table id and symbol: (code << 5) | length. The
+  // raw-bits row is a zero-length code.
+  uint32_t codes[kNumTables + 1][256] = {};
+  for (int t = 0; t < kNumTables; ++t) {
+    if (tables[t] == nullptr) continue;
+    for (int sym = 0; sym < 256; ++sym) {
+      codes[t][sym] = static_cast<uint32_t>(tables[t]->code(sym)) << 5 |
+                      static_cast<uint32_t>(tables[t]->code_length(sym));
+    }
+  }
 
-const HuffTable* LookupScanTable(void* ctx, int table_class, int slot) {
-  auto* tables = static_cast<ScanTables*>(ctx);
-  return table_class == 0 ? tables->dc[slot].get() : tables->ac[slot].get();
+  out->reserve(out->size() + 2 * tokens.size() + 64);
+  BitWriter writer(out);
+  for (const uint32_t token : tokens) {
+    const uint32_t code = codes[token >> 29][token >> 16 & 0xff];
+    const int nbits = token >> 24 & 31;
+    writer.WriteBits((code >> 5) << nbits | (token & 0xffff),
+                     static_cast<int>(code & 31) + nbits);
+  }
+  writer.AlignToByte();
 }
 
 }  // namespace
@@ -382,27 +420,30 @@ const HuffTable* LookupScanTable(void* ctx, int table_class, int slot) {
 Result<std::string> EncodeFromData(const JpegData& data, bool progressive,
                                    std::vector<ScanSpec> script,
                                    bool optimize_huffman) {
-  JpegData frame_data = data;  // Shallow-ish copy; coefficients copied too.
-  frame_data.frame.progressive = progressive;
+  const int num_comps = static_cast<int>(data.frame.components.size());
+  if (num_comps < 1 || num_comps > 4) {
+    return Status::InvalidArgument("unsupported component count");
+  }
   if (script.empty()) {
-    script = progressive
-                 ? DefaultProgressiveScript(
-                       static_cast<int>(data.frame.components.size()))
-                 : BaselineScript(
-                       static_cast<int>(data.frame.components.size()));
+    script = progressive ? DefaultProgressiveScript(num_comps)
+                         : BaselineScript(num_comps);
   }
-  if (progressive &&
-      !ValidateProgressiveScript(
-          script, static_cast<int>(data.frame.components.size()))) {
+  for (const ScanSpec& scan : script) {
+    if (scan.component_indices.empty()) {
+      return Status::InvalidArgument("scan without components");
+    }
+    if (scan.ss < 0 || scan.se > 63 || scan.ah < 0 || scan.ah > 13 ||
+        scan.al < 0 || scan.al > 13) {
+      return Status::InvalidArgument("scan parameters out of range");
+    }
+    for (int ci : scan.component_indices) {
+      if (ci < 0 || ci >= num_comps) {
+        return Status::InvalidArgument("scan component out of range");
+      }
+    }
+  }
+  if (progressive && !ValidateProgressiveScript(script, num_comps)) {
     return Status::InvalidArgument("invalid progressive scan script");
-  }
-
-  // Huffman slot assignment: slot 0 for the first component, 1 for chroma.
-  const size_t num_comps = data.frame.components.size();
-  std::vector<int> dc_slot(num_comps), ac_slot(num_comps);
-  for (size_t c = 0; c < num_comps; ++c) {
-    dc_slot[c] = c == 0 ? 0 : 1;
-    ac_slot[c] = c == 0 ? 0 : 1;
   }
 
   std::string out;
@@ -420,54 +461,53 @@ Result<std::string> EncodeFromData(const JpegData& data, bool progressive,
       slot_used[c.quant_tbl] = true;
     }
   }
-  AppendSof(&out, frame_data.frame);
+  AppendSof(&out, data.frame, progressive);
 
-  // Progressive always optimizes (as jpegtran does).
+  // Progressive always optimizes (as jpegtran does); otherwise the Annex K
+  // tables are written once, ahead of the scans.
   const bool optimize = progressive || optimize_huffman;
-  ScanTables std_tables;
+  HuffTable std_tables[kNumTables];
   if (!optimize) {
-    PCR_ASSIGN_OR_RETURN(auto dc0, HuffTable::FromSpec(StdDcLumaSpec()));
-    PCR_ASSIGN_OR_RETURN(auto dc1, HuffTable::FromSpec(StdDcChromaSpec()));
-    PCR_ASSIGN_OR_RETURN(auto ac0, HuffTable::FromSpec(StdAcLumaSpec()));
-    PCR_ASSIGN_OR_RETURN(auto ac1, HuffTable::FromSpec(StdAcChromaSpec()));
-    std_tables.dc[0] = std::make_unique<HuffTable>(std::move(dc0));
-    std_tables.dc[1] = std::make_unique<HuffTable>(std::move(dc1));
-    std_tables.ac[0] = std::make_unique<HuffTable>(std::move(ac0));
-    std_tables.ac[1] = std::make_unique<HuffTable>(std::move(ac1));
-    AppendDht(&out, 0, 0, *std_tables.dc[0]);
-    AppendDht(&out, 1, 0, *std_tables.ac[0]);
-    if (num_comps > 1) {
-      AppendDht(&out, 0, 1, *std_tables.dc[1]);
-      AppendDht(&out, 1, 1, *std_tables.ac[1]);
+    const HuffSpec specs[kNumTables] = {StdDcLumaSpec(), StdDcChromaSpec(),
+                                        StdAcLumaSpec(), StdAcChromaSpec()};
+    for (int t = 0; t < kNumTables; ++t) {
+      PCR_ASSIGN_OR_RETURN(std_tables[t], HuffTable::FromSpec(specs[t]));
+    }
+    for (int slot = 0; slot < (num_comps > 1 ? 2 : 1); ++slot) {
+      AppendDht(&out, 0, slot, std_tables[slot]);
+      AppendDht(&out, 1, slot, std_tables[2 + slot]);
     }
   }
 
+  std::vector<uint32_t> tokens;  // One scan's tokens, reused across scans.
   for (const ScanSpec& scan : script) {
-    ScanTables scan_tables;
-    ScanTables* tables = optimize ? &scan_tables : &std_tables;
-    if (optimize) {
-      // Stats pass.
-      StatsSink stats;
-      ScanEncoder(frame_data, scan, dc_slot, ac_slot, &stats).EncodeScan();
-      // Build+emit only tables with observed symbols.
-      for (int slot = 0; slot < 4; ++slot) {
-        if (!stats.freq(0, slot).Empty()) {
-          PCR_ASSIGN_OR_RETURN(auto t, stats.freq(0, slot).BuildOptimal());
-          scan_tables.dc[slot] = std::make_unique<HuffTable>(std::move(t));
-          AppendDht(&out, 0, slot, *scan_tables.dc[slot]);
-        }
-        if (!stats.freq(1, slot).Empty()) {
-          PCR_ASSIGN_OR_RETURN(auto t, stats.freq(1, slot).BuildOptimal());
-          scan_tables.ac[slot] = std::make_unique<HuffTable>(std::move(t));
-          AppendDht(&out, 1, slot, *scan_tables.ac[slot]);
+    tokens.clear();
+    HuffFrequencies freqs[kNumTables];
+    if (!ScanTokenizer(data, scan, progressive, &tokens, freqs).Run()) {
+      return Status::InvalidArgument(
+          "coefficient needs more than 15 magnitude bits");
+    }
+    HuffTable scan_tables[kNumTables];
+    const HuffTable* tables[kNumTables] = {nullptr, nullptr, nullptr, nullptr};
+    // Slot-major (DC then AC per slot), only tables with observed symbols.
+    for (int slot = 0; slot < 2; ++slot) {
+      for (int table_class = 0; table_class < 2; ++table_class) {
+        const int t = table_class * 2 + slot;
+        if (freqs[t].Empty()) continue;
+        if (optimize) {
+          PCR_ASSIGN_OR_RETURN(scan_tables[t], freqs[t].BuildOptimal());
+          AppendDht(&out, table_class, slot, scan_tables[t]);
+          tables[t] = &scan_tables[t];
+        } else if (freqs[t].CoveredBy(std_tables[t])) {
+          tables[t] = &std_tables[t];
+        } else {
+          return Status::InvalidArgument(
+              "value outside the standard Huffman tables");
         }
       }
     }
-    AppendSos(&out, frame_data.frame, scan, dc_slot, ac_slot);
-    BitWriter writer(&out);
-    EmitSink emit(&writer, &LookupScanTable, tables);
-    ScanEncoder(frame_data, scan, dc_slot, ac_slot, &emit).EncodeScan();
-    writer.AlignToByte();
+    AppendSos(&out, data.frame, scan);
+    EmitTokens(tokens, tables, &out);
   }
 
   AppendMarker(&out, kEOI);

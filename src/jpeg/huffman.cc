@@ -91,6 +91,13 @@ bool HuffFrequencies::Empty() const {
   return true;
 }
 
+bool HuffFrequencies::CoveredBy(const HuffTable& table) const {
+  for (int i = 0; i < 256; ++i) {
+    if (freq_[i] > 0 && !table.HasSymbol(i)) return false;
+  }
+  return true;
+}
+
 Result<HuffTable> HuffFrequencies::BuildOptimal() const {
   // Annex K.2 algorithm, as implemented by libjpeg's jpeg_gen_optimal_table.
   std::array<int64_t, 257> freq = freq_;

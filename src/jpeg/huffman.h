@@ -82,6 +82,10 @@ class HuffTable {
     return sym >= 0 && sym < 256 && code_len_[sym] > 0;
   }
 
+  /// Code word of `sym` and its length in bits (0: not in the table).
+  uint16_t code(int sym) const { return code_[sym]; }
+  int code_length(int sym) const { return code_len_[sym]; }
+
   /// Serialized (bits, values) form for DHT emission.
   const std::array<uint8_t, 16>& bits() const { return bits_; }
   const uint8_t* values() const { return values_.data(); }
@@ -110,6 +114,8 @@ class HuffFrequencies {
  public:
   void Count(int sym) { ++freq_[sym]; }
   bool Empty() const;
+  /// True when every counted symbol has a code in `table`.
+  bool CoveredBy(const HuffTable& table) const;
 
   /// Builds the optimal table. At least one symbol must have been counted
   /// (a table with a single dummy symbol is produced otherwise).

@@ -16,6 +16,7 @@
 #include "jpeg/reference_codec.h"
 #include "jpeg/scan_parser.h"
 #include "jpeg/scan_script.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace pcr::jpeg {
@@ -253,6 +254,147 @@ TEST(CodecParity, RenderCoefficientsMatchesReference) {
   const Image fast = RenderCoefficients(data);
   const Image ref = ReferenceCodec::RenderCoefficients(data);
   ExpectPixelsEqual(fast, ref, "RenderCoefficients");
+}
+
+
+// ------------------------------------------------------------ Encoder edges
+// Corner cases of the progressive encoder. Each stream must carry exactly
+// the source coefficients (every nominal block) and decode to the
+// ReferenceCodec's pixels; the digests pin the bytes written at the EOB-run
+// and correction-bit flush points.
+
+JpegData CoefficientsOf(const Image& img, ChromaSubsampling subsampling) {
+  EncodeOptions options;
+  options.subsampling = subsampling;
+  return DecodeToCoefficients(Encode(img, options).MoveValue()).MoveValue();
+}
+
+void ExpectNominalBlocksEqual(const JpegData& got, const JpegData& want,
+                              const std::string& label) {
+  ASSERT_EQ(got.frame.components.size(), want.frame.components.size())
+      << label;
+  for (size_t c = 0; c < want.frame.components.size(); ++c) {
+    const auto& info = want.frame.components[c];
+    for (int by = 0; by < info.height_blocks; ++by) {
+      for (int bx = 0; bx < info.width_blocks; ++bx) {
+        ASSERT_EQ(got.coefficients.block(static_cast<int>(c), bx, by),
+                  want.coefficients.block(static_cast<int>(c), bx, by))
+            << label << " comp " << c << " block (" << bx << "," << by << ")";
+      }
+    }
+  }
+}
+
+// Progressively encodes `data` with `script` (empty: the default script),
+// checks the round trip, and returns the stream ("" on failure).
+std::string ProgressiveRoundTrip(const JpegData& data,
+                                 const std::vector<ScanSpec>& script,
+                                 const std::string& label) {
+  auto encoded = EncodeFromData(data, /*progressive=*/true, script);
+  EXPECT_TRUE(encoded.ok()) << label << ": " << encoded.status();
+  if (!encoded.ok()) return "";
+  auto decoded = DecodeToCoefficients(*encoded);
+  EXPECT_TRUE(decoded.ok()) << label << ": " << decoded.status();
+  if (!decoded.ok()) return "";
+  ExpectNominalBlocksEqual(*decoded, data, label);
+  ExpectParity(*encoded, label);
+  return *encoded;
+}
+
+// A flat 1536x1536 image has 36,864 luma blocks with no AC energy, so every
+// AC scan is one long EOB run that must flush at the 0x7FFF ceiling.
+TEST(EncoderEdges, EobRunReachesCeiling) {
+  const JpegData data =
+      CoefficientsOf(Image(1536, 1536, 1, 90), ChromaSubsampling::k444);
+  const std::string stream = ProgressiveRoundTrip(data, {}, "flat 1536x1536");
+  EXPECT_EQ(crc32c::Value(stream), 0x2b0365f7u);
+}
+
+// Refinement scans whose EOB runs buffer correction bits. With every luma
+// AC coefficient at magnitude 2 or 3, the final luma refinement scan has no
+// newly-nonzero coefficient and 63 correction bits per block, so its EOB
+// run crosses the 900-bit flush point every 15 blocks. The sparse variant
+// mixes long zero runs (ZRLs inside the refinement window) with old and
+// newly-nonzero coefficients.
+TEST(EncoderEdges, RefinementCorrectionBitsPassFlushPoint) {
+  const JpegData source =
+      CoefficientsOf(MakeTestImage(128, 96, true, 77), ChromaSubsampling::k420);
+  const auto& luma = source.frame.components[0];
+  Rng rng(78);
+  JpegData dense = source;
+  JpegData sparse = source;
+  for (int by = 0; by < luma.height_blocks_padded; ++by) {
+    for (int bx = 0; bx < luma.width_blocks_padded; ++bx) {
+      CoeffBlock& d = dense.coefficients.block(0, bx, by);
+      CoeffBlock& s = sparse.coefficients.block(0, bx, by);
+      for (int i = 1; i < 64; ++i) {
+        const int sign = rng.Uniform(2) != 0 ? 1 : -1;
+        const int magnitude = 2 + static_cast<int>(rng.Uniform(2));
+        d[i] = static_cast<int16_t>(sign * magnitude);
+        static const int kMagnitudes[] = {1, 2, 3, 5};
+        s[i] = rng.Uniform(8) == 0
+                   ? static_cast<int16_t>(sign * kMagnitudes[rng.Uniform(4)])
+                   : 0;
+      }
+    }
+  }
+  const std::string dense_stream =
+      ProgressiveRoundTrip(dense, {}, "dense correction bits");
+  const std::string sparse_stream =
+      ProgressiveRoundTrip(sparse, {}, "sparse refinement");
+  EXPECT_EQ(crc32c::Value(dense_stream), 0x0d1b6194u);
+  EXPECT_EQ(crc32c::Value(sparse_stream), 0x2df6b3bdu);
+}
+
+// Width and height off every block and MCU boundary: interleaved DC scans
+// cover MCU padding, per-component AC scans only nominal blocks.
+TEST(EncoderEdges, OddDimensions) {
+  const JpegData data =
+      CoefficientsOf(MakeTestImage(97, 55, true, 79), ChromaSubsampling::k420);
+  const std::string stream = ProgressiveRoundTrip(data, {}, "97x55 4:2:0");
+  EXPECT_EQ(crc32c::Value(stream), 0x61e024c7u);
+}
+
+// One-component scans only: a grayscale image under its 6-scan default
+// script, and a color image whose DC scans are not interleaved either.
+TEST(EncoderEdges, SingleComponentScripts) {
+  const JpegData gray =
+      CoefficientsOf(MakeTestImage(83, 61, false, 80), ChromaSubsampling::k444);
+  const std::string gray_stream = ProgressiveRoundTrip(gray, {}, "grayscale");
+
+  std::vector<ScanSpec> script;
+  for (int c = 0; c < 3; ++c) {
+    ScanSpec scan;
+    scan.component_indices = {c};
+    scan.ss = 0;
+    scan.se = 0;
+    scan.al = 1;
+    script.push_back(scan);  // DC first pass.
+    scan.ss = 1;
+    scan.se = 63;
+    script.push_back(scan);  // AC first pass.
+    scan.ah = 1;
+    scan.al = 0;
+    script.push_back(scan);  // AC refinement.
+    scan.ss = 0;
+    scan.se = 0;
+    script.push_back(scan);  // DC refinement.
+  }
+  ASSERT_TRUE(ValidateProgressiveScript(script, 3));
+  const JpegData color =
+      CoefficientsOf(MakeTestImage(83, 61, true, 81), ChromaSubsampling::k420);
+  const std::string color_stream =
+      ProgressiveRoundTrip(color, script, "per-component color");
+  EXPECT_EQ(crc32c::Value(gray_stream), 0x1382dabeu);
+  EXPECT_EQ(crc32c::Value(color_stream), 0xc5c0cd7eu);
+}
+
+// Full-resolution chroma: every component has one block per MCU.
+TEST(EncoderEdges, FullResolutionChroma) {
+  const JpegData data =
+      CoefficientsOf(MakeTestImage(121, 87, true, 82), ChromaSubsampling::k444);
+  const std::string stream = ProgressiveRoundTrip(data, {}, "121x87 4:4:4");
+  EXPECT_EQ(crc32c::Value(stream), 0x06f60fd4u);
 }
 
 }  // namespace

@@ -157,6 +157,46 @@ TEST(PcrDatasetWriter, RejectsGarbageImage) {
   EXPECT_FALSE(writer->AddImage(Slice("not a jpeg"), 0).ok());
 }
 
+// A baseline input at the edge of JPEG's value range (15-bit DC
+// differences and AC magnitudes) still transcodes into a record that reads
+// back to the input's coefficients: the default script's point transform
+// keeps every progressive pass within 15 bits.
+TEST(PcrDatasetWriter, FullRangeCoefficientsStayReadable) {
+  jpeg::JpegData data =
+      jpeg::DecodeToCoefficients(MakeJpeg(48, 40, 7, /*progressive=*/false))
+          .MoveValue();
+  data.coefficients.block(0, 0, 0)[0] = 32767;
+  data.coefficients.block(0, 1, 0)[0] = 0;
+  data.coefficients.block(0, 2, 0)[9] = -32767;
+  data.coefficients.block(1, 0, 0)[63] = 32767;
+  const std::string baseline =
+      jpeg::EncodeFromData(data, false, {}, /*optimize_huffman=*/true)
+          .MoveValue();
+
+  VirtualClock clock;
+  SimEnv env(DeviceProfile::Ram(), &clock);
+  auto writer =
+      PcrDatasetWriter::Create(&env, "ds", PcrWriterOptions{}).MoveValue();
+  ASSERT_TRUE(writer->AddImage(Slice(baseline), 3).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  auto ds = PcrDataset::Open(&env, "ds").MoveValue();
+  auto batch = ds->ReadRecord(0, ds->num_scan_groups()).MoveValue();
+  ASSERT_EQ(batch.size(), 1);
+  auto read = jpeg::DecodeToCoefficients(batch.jpeg(0));
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_TRUE(read->frame.progressive);
+  for (size_t c = 0; c < data.frame.components.size(); ++c) {
+    const auto& info = data.frame.components[c];
+    for (int by = 0; by < info.height_blocks; ++by) {
+      for (int bx = 0; bx < info.width_blocks; ++bx) {
+        ASSERT_EQ(read->coefficients.block(static_cast<int>(c), bx, by),
+                  data.coefficients.block(static_cast<int>(c), bx, by))
+            << "comp " << c << " block (" << bx << "," << by << ")";
+      }
+    }
+  }
+}
+
 TEST(PcrDataset, OpenFailsOnMissingManifest) {
   VirtualClock clock;
   SimEnv env(DeviceProfile::Ram(), &clock);

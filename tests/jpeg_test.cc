@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "data/dataset_spec.h"
 #include "image/image.h"
 #include "image/metrics.h"
 #include "image/procedural.h"
@@ -15,6 +16,7 @@
 #include "jpeg/huffman.h"
 #include "jpeg/scan_parser.h"
 #include "jpeg/scan_script.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace pcr::jpeg {
@@ -131,6 +133,32 @@ TEST(BitIo, RoundTripWithStuffing) {
   BitReader reader(buf);
   for (const auto& [bits, n] : writes) {
     EXPECT_EQ(reader.ReadBits(n), bits);
+  }
+  EXPECT_FALSE(reader.Exhausted());
+}
+
+TEST(BitIo, WideWritesAppendAfterExistingBytes) {
+  // Writes of up to 32 bits, with 0xFF bytes inside whole words, appended
+  // to a string that already holds bytes.
+  std::string buf = "AB";
+  Rng rng(4);
+  std::vector<std::pair<uint32_t, int>> writes;
+  {
+    BitWriter writer(&buf);
+    for (int i = 0; i < 2000; ++i) {
+      const int n = static_cast<int>(rng.Uniform(33));
+      uint32_t bits = static_cast<uint32_t>(rng.Next());
+      if (i % 7 == 0) bits = 0xffffffffu;
+      if (n < 32) bits &= (1u << n) - 1;
+      writes.emplace_back(bits, n);
+      writer.WriteBits(bits, n);
+    }
+    writer.AlignToByte();
+  }
+  ASSERT_EQ(buf.substr(0, 2), "AB");
+  BitReader reader(Slice(buf.data() + 2, buf.size() - 2));
+  for (const auto& [bits, n] : writes) {
+    ASSERT_EQ(reader.ReadBits(n), bits);
   }
   EXPECT_FALSE(reader.Exhausted());
 }
@@ -595,6 +623,165 @@ TEST(ScanIndex, BaselineHasOneScan) {
   auto index = IndexScans(encoded).MoveValue();
   EXPECT_FALSE(index.progressive);
   EXPECT_EQ(index.scans.size(), 1u);
+}
+
+// ------------------------------------------------------- Encoder output
+
+// CRC32C over a sequence of encoder outputs, each prefixed by its length so
+// that bytes moving across an output boundary still change the digest.
+class StreamDigest {
+ public:
+  void Add(const std::string& bytes) {
+    const uint64_t n = bytes.size();
+    crc_ = crc32c::Extend(crc_, &n, sizeof(n));
+    crc_ = crc32c::Extend(crc_, bytes.data(), bytes.size());
+  }
+  uint32_t value() const { return crc_; }
+
+ private:
+  uint32_t crc_ = 0;
+};
+
+// The encoder's output is pinned byte for byte: every PCR file, and every
+// byte a loader reads back, is exactly what EncodeFromData writes. The
+// digests were recorded from the original two-pass (statistics walk, then
+// emit walk) encoder; the single-walk tokenizer that replaced it must
+// reproduce them unchanged. A deliberate format change re-records them.
+TEST(Codec, EncoderOutputIsByteStable) {
+  const DatasetSpec spec = DatasetSpec::ImageNetLike();
+  StreamDigest baseline, transcoded, std_tables, optimized;
+  for (int i = 0; i < 32; ++i) {
+    const Image img =
+        GenerateImage(spec, ClassForImage(spec, i), spec.seed * 100000 + i);
+    EncodeOptions options;
+    options.quality = spec.jpeg_quality;
+    const std::string jpeg = Encode(img, options).MoveValue();
+    baseline.Add(jpeg);
+    transcoded.Add(TranscodeToProgressive(jpeg).MoveValue());
+    const JpegData data = DecodeToCoefficients(jpeg).MoveValue();
+    std_tables.Add(EncodeFromData(data, false).MoveValue());
+    optimized.Add(EncodeFromData(data, false, {}, true).MoveValue());
+  }
+
+  StreamDigest gray;
+  const Image gray_img = MakeTestImage(203, 149, false, 21);
+  for (bool progressive : {false, true}) {
+    EncodeOptions options;
+    options.progressive = progressive;
+    gray.Add(Encode(gray_img, options).MoveValue());
+  }
+  EncodeOptions gray_optimized;
+  gray_optimized.optimize_huffman = true;
+  gray.Add(Encode(gray_img, gray_optimized).MoveValue());
+
+  StreamDigest full_chroma;
+  const Image color_img = MakeTestImage(121, 87, true, 22);
+  for (bool progressive : {false, true}) {
+    EncodeOptions options;
+    options.subsampling = ChromaSubsampling::k444;
+    options.progressive = progressive;
+    full_chroma.Add(Encode(color_img, options).MoveValue());
+  }
+
+  EXPECT_EQ(baseline.value(), 0x4671420eu) << "Encode, baseline";
+  EXPECT_EQ(transcoded.value(), 0xd5934f06u) << "TranscodeToProgressive";
+  EXPECT_EQ(std_tables.value(), 0x4671420eu)
+      << "EncodeFromData, standard tables";
+  EXPECT_EQ(optimized.value(), 0xd6ff864du)
+      << "EncodeFromData, optimized tables";
+  EXPECT_EQ(gray.value(), 0x0d24639du) << "grayscale";
+  EXPECT_EQ(full_chroma.value(), 0x484d1ec7u) << "4:4:4";
+}
+
+// A magnitude category above 15 has no code a decoder accepts (and an AC
+// size of 16 would spill into the run nibble of its symbol), so the encoder
+// refuses such values instead of writing a stream it cannot read back.
+
+JpegData SmallCoefficients() {
+  const Image img = MakeTestImage(64, 48, true, 90);
+  return DecodeToCoefficients(Encode(img, EncodeOptions{}).MoveValue())
+      .MoveValue();
+}
+
+// One progressive pass per coefficient, all at Al = 0: no point transform
+// narrows a value before it is coded.
+std::vector<ScanSpec> FullPrecisionScript() {
+  std::vector<ScanSpec> script(4);
+  script[0].component_indices = {0, 1, 2};
+  script[0].se = 0;
+  for (int c = 0; c < 3; ++c) {
+    script[c + 1].component_indices = {c};
+    script[c + 1].ss = 1;
+  }
+  return script;
+}
+
+void ExpectSameCoefficients(const std::string& stream, const JpegData& want) {
+  const JpegData got = DecodeToCoefficients(stream).MoveValue();
+  for (size_t c = 0; c < want.frame.components.size(); ++c) {
+    const auto& info = want.frame.components[c];
+    for (int by = 0; by < info.height_blocks; ++by) {
+      for (int bx = 0; bx < info.width_blocks; ++bx) {
+        ASSERT_EQ(got.coefficients.block(static_cast<int>(c), bx, by),
+                  want.coefficients.block(static_cast<int>(c), bx, by))
+            << "comp " << c << " block (" << bx << "," << by << ")";
+      }
+    }
+  }
+}
+
+TEST(Codec, EncoderRejectsSixteenBitDcDifference) {
+  JpegData data = SmallCoefficients();
+  data.coefficients.block(0, 0, 0)[0] = 32767;
+  data.coefficients.block(0, 1, 0)[0] = -32768;  // Difference -65535.
+  for (bool optimize : {false, true}) {
+    EXPECT_TRUE(EncodeFromData(data, false, {}, optimize)
+                    .status()
+                    .IsInvalidArgument())
+        << "optimize_huffman=" << optimize;
+  }
+  EXPECT_TRUE(EncodeFromData(data, true, FullPrecisionScript())
+                  .status()
+                  .IsInvalidArgument());
+  // The default script's Al = 1 DC pass codes the difference in 15 bits.
+  auto progressive = EncodeFromData(data, true);
+  ASSERT_TRUE(progressive.ok()) << progressive.status();
+  ExpectSameCoefficients(*progressive, data);
+}
+
+TEST(Codec, EncoderRejectsSixteenBitAcValue) {
+  JpegData data = SmallCoefficients();
+  data.coefficients.block(0, 2, 1)[kZigzag[5]] = -32768;
+  for (bool optimize : {false, true}) {
+    EXPECT_TRUE(EncodeFromData(data, false, {}, optimize)
+                    .status()
+                    .IsInvalidArgument())
+        << "optimize_huffman=" << optimize;
+  }
+  EXPECT_TRUE(EncodeFromData(data, true, FullPrecisionScript())
+                  .status()
+                  .IsInvalidArgument());
+  // The widest values that do fit: 15-bit AC magnitudes at Al = 0, and
+  // -32768 under the default script's Al >= 1 first passes.
+  auto progressive = EncodeFromData(data, true);
+  ASSERT_TRUE(progressive.ok()) << progressive.status();
+  ExpectSameCoefficients(*progressive, data);
+  data.coefficients.block(0, 2, 1)[kZigzag[5]] = -32767;
+  data.coefficients.block(0, 3, 1)[kZigzag[63]] = 32767;
+  auto baseline = EncodeFromData(data, false, {}, /*optimize_huffman=*/true);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  ExpectSameCoefficients(*baseline, data);
+  auto full_precision = EncodeFromData(data, true, FullPrecisionScript());
+  ASSERT_TRUE(full_precision.ok()) << full_precision.status();
+  ExpectSameCoefficients(*full_precision, data);
+}
+
+TEST(Codec, EncoderRejectsValuesOutsideStandardTables) {
+  // The Annex K tables stop at DC category 11 and AC category 10.
+  JpegData data = SmallCoefficients();
+  data.coefficients.block(0, 0, 0)[0] = 4000;
+  EXPECT_TRUE(EncodeFromData(data, false).status().IsInvalidArgument());
+  EXPECT_TRUE(EncodeFromData(data, false, {}, true).ok());
 }
 
 // ------------------------------------------------------------- Quant tables

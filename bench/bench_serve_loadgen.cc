@@ -206,9 +206,6 @@ PhaseResult RunServePhase(Env* env, const std::string& dataset_dir,
   options.decode_cache_bytes = 2ull << 30;
   options.prefix_cache_bytes = 1ull << 30;
   options.dataset_cache_share = 1.0;  // One dataset: full budget.
-  // Compressed streams pass decode through; extra stage threads only add
-  // scheduler pressure (this box serializes everything through few cores).
-  options.decode_threads = decode ? 2 : 1;
   // One delivery token per stream: with cache-warm pipelines the serve
   // threads are arbitration-bound before they are copy-bound, and a token
   // pool smaller than the client count would throttle both planes alike

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "storage/io_retry.h"
 #include "util/logging.h"
@@ -12,6 +13,12 @@
 namespace pcr {
 
 namespace {
+
+/// First retry backoff; doubles per retry (capped at 100x) on the backend
+/// Env's clock.
+constexpr double kRetryBackoffSec = 0.5e-3;
+/// Ceiling of the adaptive hedge deadline.
+constexpr double kHedgeMaxSec = 1.0;
 
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -38,62 +45,195 @@ Result<LoadedBatch> DecodeRecordBatch(RecordBatch raw, int record_index,
   return batch;
 }
 
+/// The assembled JPEG streams themselves, for `decode == false` streams.
+LoadedBatch CompressedBatch(RecordBatch assembled, int record_index,
+                            int scan_group) {
+  LoadedBatch batch;
+  batch.record_index = record_index;
+  batch.scan_group = scan_group;
+  batch.labels = std::move(assembled.labels);
+  batch.bytes_read = assembled.bytes_read;
+  batch.jpeg_spans = std::move(assembled.spans);
+  batch.jpeg_backing = std::move(assembled.backing);
+  return batch;
+}
+
 }  // namespace
 
-LoaderPipeline::LoaderPipeline(RecordSource* source,
-                               LoaderPipelineOptions options)
-    : source_(source), options_(std::move(options)),
-      fetch_queue_(
-          static_cast<size_t>(std::max(1, options_.fetch_queue_depth))),
-      output_queue_(
-          static_cast<size_t>(std::max(1, options_.output_queue_depth))) {
-  PCR_CHECK(source != nullptr);
-  PCR_CHECK_GT(source->num_records(), 0);
-  options_.io_threads = std::max(1, options_.io_threads);
-  options_.io_inflight = std::max(1, options_.io_inflight);
-  options_.decode_threads = std::max(1, options_.decode_threads);
-  options_.decode_pop_batch = std::max(1, options_.decode_pop_batch);
-  if (options_.scan_policy == nullptr) {
-    options_.scan_policy =
-        std::make_shared<FixedScanPolicy>(source->num_scan_groups());
-  }
-  if (!options_.decode) {
-    options_.decode_cache = nullptr;  // Cache stores decoded batches only.
-  } else if (options_.decode_cache == nullptr &&
-             options_.decode_cache_bytes > 0) {
-    DecodeCacheOptions cache_options;
-    cache_options.capacity_bytes = options_.decode_cache_bytes;
-    cache_options.shards = options_.decode_cache_shards;
-    options_.decode_cache = std::make_shared<DecodeCache>(cache_options);
-  }
-  if (options_.decode_cache != nullptr && options_.cache_dataset_id == 0) {
-    options_.cache_dataset_id = options_.decode_cache->RegisterDataset();
-  }
-  options_.io_submit_batch = std::max(1, options_.io_submit_batch);
-  options_.io_retry_attempts = std::max(1, options_.io_retry_attempts);
-  // Completion cookies carry the slot index in 16 bits.
-  options_.io_inflight = std::min(options_.io_inflight, 0xffff);
-  if (options_.prefix_cache == nullptr && options_.prefix_cache_bytes > 0) {
-    PrefixCacheOptions prefix_options;
-    prefix_options.capacity_bytes = options_.prefix_cache_bytes;
-    options_.prefix_cache = std::make_shared<PrefixCache>(prefix_options);
-  }
-  if (options_.prefix_cache != nullptr && options_.prefix_dataset_id == 0) {
-    options_.prefix_dataset_id = options_.prefix_cache->RegisterDataset();
-  }
-  sampler_ = std::make_unique<RecordSampler>(
-      source->num_records(), options_.shuffle, options_.seed);
-  if (options_.max_epochs > 0) {
-    ticket_limit_ = static_cast<int64_t>(options_.max_epochs) *
-                    static_cast<int64_t>(source->num_records());
+// --- Stream ------------------------------------------------------------------
+
+/// One attached stream's state, shared by its LoaderPipeline and the
+/// executor's workers: work still in flight keeps it alive past Stop(), but
+/// never calls into its RecordSource once it is closed.
+struct LoaderExecutor::Stream {
+  Stream(RecordSource* source_in, LoaderPipelineOptions options_in,
+         const LoaderPipelineOptions& executor)
+      : source(source_in),
+        options(std::move(options_in)),
+        num_groups(source_in->num_scan_groups()),
+        records_per_epoch(static_cast<size_t>(source_in->num_records())),
+        worker_reads(std::clamp(options.io_inflight, 1, executor.io_inflight)),
+        credit(std::max(1, options.output_queue_depth) +
+               executor.io_threads * worker_reads),
+        output(static_cast<size_t>(credit.load())),
+        sampler(source_in->num_records(), options.shuffle, options.seed) {
+    if (options.scan_policy == nullptr) {
+      options.scan_policy = std::make_shared<FixedScanPolicy>(num_groups);
+    }
+    if (!options.decode) {
+      options.decode_cache = nullptr;  // Cache stores decoded batches only.
+    } else if (options.decode_cache == nullptr &&
+               options.decode_cache_bytes > 0) {
+      DecodeCacheOptions cache_options;
+      cache_options.capacity_bytes = options.decode_cache_bytes;
+      cache_options.shards = options.decode_cache_shards;
+      options.decode_cache = std::make_shared<DecodeCache>(cache_options);
+    }
+    if (options.decode_cache != nullptr && options.cache_dataset_id == 0) {
+      options.cache_dataset_id = options.decode_cache->RegisterDataset();
+    }
+    if (options.prefix_cache == nullptr && options.prefix_cache_bytes > 0) {
+      PrefixCacheOptions prefix_options;
+      prefix_options.capacity_bytes = options.prefix_cache_bytes;
+      options.prefix_cache = std::make_shared<PrefixCache>(prefix_options);
+    }
+    if (options.prefix_cache != nullptr && options.prefix_dataset_id == 0) {
+      options.prefix_dataset_id = options.prefix_cache->RegisterDataset();
+    }
+    if (options.max_epochs > 0) {
+      ticket_limit = static_cast<int64_t>(options.max_epochs) *
+                     static_cast<int64_t>(source_in->num_records());
+    }
   }
 
+  bool live() const { return !closed.load(std::memory_order_acquire); }
+
+  /// Issues the next ticket if the stream is live, has tickets left and has
+  /// credit. Each record is issued exactly once per epoch no matter how many
+  /// I/O workers race on it.
+  bool TakeTicket(int* record, std::shared_ptr<ScanGroupPolicy>* policy) {
+    if (!live() || tickets_done.load(std::memory_order_relaxed) ||
+        credit.load(std::memory_order_relaxed) <= 0) {
+      return false;
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    if (tickets_done.load(std::memory_order_relaxed) || credit.load() <= 0) {
+      return false;
+    }
+    credit.fetch_sub(1);
+    *record = sampler.Next();
+    ++undelivered;
+    if (++tickets_issued == ticket_limit) tickets_done.store(true);
+    *policy = options.scan_policy;  // May be swapped by set_scan_policy.
+    return true;
+  }
+
+  /// Hands a finished ticket to the consumer; seals the output once the
+  /// last ticket is in. Never blocks: the queue holds the whole credit.
+  void Deliver(SharedLoadedBatch item) {
+    output.Push(std::move(item));  // Dropped if already closed.
+    std::lock_guard<std::mutex> lock(mu);
+    if (--undelivered == 0 && tickets_done.load()) output.Close();
+  }
+
+  /// Brackets every call into `source`: false once the stream is closed.
+  bool EnterSourceCall() {
+    std::lock_guard<std::mutex> lock(call_mu);
+    if (closed.load(std::memory_order_relaxed)) return false;
+    ++calls;
+    return true;
+  }
+  void ExitSourceCall() {
+    std::lock_guard<std::mutex> lock(call_mu);
+    if (--calls == 0 && closed.load(std::memory_order_relaxed)) {
+      call_cv.notify_all();
+    }
+  }
+
+  /// Ends the stream's work: no new tickets or source calls, and the
+  /// consumer drains what was delivered. Does not wait.
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(call_mu);
+      closed.store(true, std::memory_order_release);
+    }
+    output.Close();
+  }
+
+  /// Waits until no executor thread is inside a call on `source`.
+  void AwaitSourceCalls() {
+    std::unique_lock<std::mutex> lock(call_mu);
+    call_cv.wait(lock, [&] { return calls == 0; });
+  }
+
+  void Fail(Status status) {
+    {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (first_error.ok()) first_error = std::move(status);
+    }
+    Close();  // Queued batches drain, but Next() fails fast on the status.
+  }
+
+  Status status() const {
+    std::lock_guard<std::mutex> lock(error_mu);
+    return first_error;
+  }
+
+  RecordSource* const source;
+  LoaderPipelineOptions options;  // Caches and policy resolved.
+  const int num_groups;
+  const size_t records_per_epoch;
+  /// Reads this stream may hold in each I/O worker's window.
+  const int worker_reads;
+  /// Batches the stream may hold between ticket issue and Next().
+  std::atomic<int> credit;
+  BoundedQueue<SharedLoadedBatch> output;
+
+  std::mutex mu;  // Ticket issue and delivery accounting.
+  RecordSampler sampler;
+  int64_t tickets_issued = 0;
+  int64_t ticket_limit = 0;  // 0 = unbounded.
+  int64_t undelivered = 0;   // Issued, not yet in the output queue.
+  std::atomic<bool> tickets_done{false};
+
+  std::mutex call_mu;
+  std::condition_variable call_cv;
+  int calls = 0;  // Executor threads inside a call on `source`.
+  std::atomic<bool> closed{false};
+
+  mutable std::mutex error_mu;
+  Status first_error;  // OK until a stage fails.
+
+  StageStats io;
+  StageStats decode;
+  /// Records fetched but not yet delivered: queued raw or being decoded.
+  std::atomic<int> decode_pending{0};
+};
+
+struct LoaderExecutor::RawItem {
+  std::shared_ptr<Stream> stream;
+  RawRecord raw;
+};
+
+// --- LoaderExecutor ----------------------------------------------------------
+
+LoaderExecutor::LoaderExecutor(const LoaderPipelineOptions& options)
+    : options_(options) {
+  options_.io_threads = std::max(1, options_.io_threads);
+  // Completion cookies carry the slot index in 16 bits.
+  options_.io_inflight = std::clamp(options_.io_inflight, 1, 0xffff);
+  options_.decode_threads = std::max(1, options_.decode_threads);
+  options_.io_submit_batch = std::max(1, options_.io_submit_batch);
+  options_.io_retry_attempts = std::max(1, options_.io_retry_attempts);
+  // Room for two full windows per I/O worker: enough to keep every decode
+  // worker fed while the next reads land.
+  raw_queue_ = std::make_unique<BoundedQueue<RawItem>>(static_cast<size_t>(
+      2 * options_.io_threads * options_.io_inflight));
+
   live_io_workers_.store(options_.io_threads);
-  live_decode_workers_.store(options_.decode_threads);
-  decode_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(options_.decode_threads));
+  decode_workers_.reserve(options_.decode_threads);
   for (int t = 0; t < options_.decode_threads; ++t) {
-    decode_pool_->Submit([this] { DecodeWorkerLoop(); });
+    decode_workers_.emplace_back([this] { DecodeWorkerLoop(); });
   }
   io_workers_.reserve(options_.io_threads);
   for (int t = 0; t < options_.io_threads; ++t) {
@@ -102,48 +242,73 @@ LoaderPipeline::LoaderPipeline(RecordSource* source,
   }
 }
 
-LoaderPipeline::~LoaderPipeline() { Stop(); }
+LoaderExecutor::~LoaderExecutor() { Shutdown(); }
 
-void LoaderPipeline::RecordError(Status status) {
+void LoaderExecutor::Shutdown() {
+  std::lock_guard<std::mutex> join(join_mu_);
   {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    if (first_error_.ok()) first_error_ = std::move(status);
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_.store(true);
+    wake_seq_.fetch_add(1);
+    for (const auto& stream : streams_) stream->Close();
   }
-  // Tear the stream down: wake every blocked worker. Queued items drain, but
-  // Next() fails fast on the recorded status.
-  fetch_queue_.Close();
-  output_queue_.Close();
+  work_cv_.notify_all();
+  raw_queue_->Close();
+  for (auto& worker : io_workers_) worker.join();
+  for (auto& worker : decode_workers_) worker.join();
+  io_workers_.clear();
+  decode_workers_.clear();
 }
 
-Status LoaderPipeline::status() const {
-  std::lock_guard<std::mutex> lock(error_mu_);
-  return first_error_;
+void LoaderExecutor::Attach(std::shared_ptr<Stream> stream, bool last) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_.load()) stream->Close();
+    streams_.push_back(std::move(stream));
+    sealed_ = last;
+    streams_version_.fetch_add(1);
+  }
+  Kick();
 }
 
-void LoaderPipeline::set_scan_policy(std::shared_ptr<ScanGroupPolicy> policy) {
-  PCR_CHECK(policy != nullptr);
-  std::lock_guard<std::mutex> lock(sampler_mu_);
-  options_.scan_policy = std::move(policy);
+void LoaderExecutor::Detach(const Stream* stream) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    streams_.erase(std::remove_if(streams_.begin(), streams_.end(),
+                                  [&](const std::shared_ptr<Stream>& s) {
+                                    return s.get() == stream;
+                                  }),
+                   streams_.end());
+    streams_version_.fetch_add(1);
+  }
+  Kick();
 }
 
-void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
+void LoaderExecutor::Kick() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    wake_seq_.fetch_add(1);
+  }
+  work_cv_.notify_all();
+}
+
+void LoaderExecutor::IoWorkerLoop(uint64_t seed) {
   Rng rng(seed);
-  const int num_groups = source_->num_scan_groups();
-  DecodeCache* const cache = options_.decode_cache.get();
-  PrefixCache* const prefixes = options_.prefix_cache.get();
-  const uint64_t prefix_id = options_.prefix_dataset_id;
   const int window = options_.io_inflight;
 
-  // The submission window: one slot per logical fetch in flight. A slot
-  // holds its plan; the whole plan goes to the scheduler as one
-  // scatter-gather request, so the completion's bytes are the plan's fetched
-  // (non-resident) bytes in plan order. A fetch may have up to two
-  // *branches* racing for the slot — the current attempt and its hedge twin
-  // — and may be re-driven across the plan's alternates on failure, so the
-  // completion cookie carries (generation, branch, slot): a completion whose
-  // generation no longer matches the slot's is a superseded attempt (hedge
-  // loser, or a failure the slot already failed over past) and is dropped.
+  // The submission window: one slot per logical fetch in flight, each owned
+  // by the stream whose ticket it serves. A slot holds its plan; the whole
+  // plan goes to the scheduler as one scatter-gather request, so the
+  // completion's bytes are the plan's fetched (non-resident) bytes in plan
+  // order. A fetch may have up to two *branches* racing for the slot — the
+  // current attempt and its hedge twin — and may be re-driven across the
+  // plan's alternates on failure, so the completion cookie carries
+  // (generation, branch, slot): a completion whose generation no longer
+  // matches the slot's is a superseded attempt (hedge loser, a failure the
+  // slot already failed over past, or a read its stream abandoned) and is
+  // dropped.
   struct Slot {
+    std::shared_ptr<Stream> stream;  // Null while the slot is free.
     FetchPlan plan;
     int64_t submit_nanos = 0;     // First submission of the current fetch.
     uint32_t generation = 0;      // Bumped per attempt and at finalize.
@@ -157,10 +322,37 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
   free_slots.reserve(static_cast<size_t>(window));
   for (int i = window - 1; i >= 0; --i) free_slots.push_back(i);
   int in_flight = 0;
+  // Reads each stream holds in this window (capped at its worker_reads).
+  std::unordered_map<const Stream*, int> reads_held;
 
   auto encode_cookie = [](uint32_t generation, int branch, int slot) {
     return (static_cast<uint64_t>(generation) << 32) |
            (static_cast<uint64_t>(branch) << 16) | static_cast<uint64_t>(slot);
+  };
+  auto take_slot = [&](std::shared_ptr<Stream> stream, FetchPlan plan) {
+    const int slot_index = free_slots.back();
+    free_slots.pop_back();
+    Slot& slot = slots[static_cast<size_t>(slot_index)];
+    ++reads_held[stream.get()];
+    slot.stream = std::move(stream);
+    slot.plan = std::move(plan);
+    slot.next_alternate = 0;
+    ++slot.generation;  // Fresh tenancy: prior tenants' strays are dead.
+    ++in_flight;
+    io_gauges_.SampleInFlight(in_flight);
+    return slot_index;
+  };
+  // Retires the slot's fetch: a still-racing twin becomes a dead letter.
+  auto release_slot = [&](int slot_index) {
+    Slot& slot = slots[static_cast<size_t>(slot_index)];
+    ++slot.generation;
+    slot.branches = 0;
+    auto held = reads_held.find(slot.stream.get());
+    if (--held->second == 0) reads_held.erase(held);
+    slot.stream.reset();
+    free_slots.push_back(slot_index);
+    --in_flight;
+    io_gauges_.SampleInFlight(in_flight);
   };
 
   // One scheduler per backend Env: a plain source has one, a sharded source
@@ -168,12 +360,18 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
   // read. Workers own their schedulers, so the window is per worker and
   // teardown joins only this worker's outstanding reads. Transient backend
   // errors retry below this layer (storage/io_retry.h): the loop here only
-  // ever sees failures worth failing over.
-  std::vector<std::pair<Env*, std::unique_ptr<IoScheduler>>> schedulers;
+  // ever sees failures worth failing over. Scheduler counters fold into the
+  // worker gauges as deltas after every completion.
+  struct Backend {
+    Env* env;
+    std::unique_ptr<IoScheduler> scheduler;
+    IoSchedulerStats folded;
+  };
+  std::vector<Backend> schedulers;
   size_t wait_cursor = 0;  // Round-robin across backends when waiting.
   auto scheduler_for = [&](Env* env) -> IoScheduler* {
-    for (auto& [scheduler_env, scheduler] : schedulers) {
-      if (scheduler_env == env) return scheduler.get();
+    for (Backend& backend : schedulers) {
+      if (backend.env == env) return backend.scheduler.get();
     }
     IoSchedulerOptions scheduler_options;
     // Hedges can double the branches held against one backend, so the
@@ -189,26 +387,40 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
     if (options_.io_retry_attempts > 1) {
       RetryPolicy policy;
       policy.max_attempts = options_.io_retry_attempts;
-      policy.initial_backoff_sec = options_.io_retry_backoff_sec;
+      policy.initial_backoff_sec = kRetryBackoffSec;
       scheduler =
           NewRetryingIoScheduler(std::move(scheduler), policy, env->clock());
     }
-    schedulers.emplace_back(env, std::move(scheduler));
-    io_backend_name_.store(schedulers.back().second->backend_name(),
+    io_backend_name_.store(scheduler->backend_name(),
                            std::memory_order_relaxed);
-    return schedulers.back().second.get();
+    schedulers.push_back(Backend{env, std::move(scheduler), {}});
+    return schedulers.back().scheduler.get();
+  };
+  auto fold_scheduler_stats = [&] {
+    for (Backend& backend : schedulers) {
+      const IoSchedulerStats now = backend.scheduler->stats();
+      IoSchedulerStats delta;
+      delta.requests = now.requests - backend.folded.requests;
+      delta.segments = now.segments - backend.folded.segments;
+      delta.ops = now.ops - backend.folded.ops;
+      delta.submits = now.submits - backend.folded.submits;
+      delta.syscalls = now.syscalls - backend.folded.syscalls;
+      delta.retries = now.retries - backend.folded.retries;
+      io_gauges_.AddSchedulerStats(delta);
+      backend.folded = now;
+    }
   };
 
   // Worker-local recent fetch latencies drive the hedge deadline: hedging
-  // keys off this worker's own observed service times. The shared stage
-  // ring (io_stats_) feeds reporting only.
+  // keys off this worker's own observed service times. The streams' rings
+  // feed reporting only.
   constexpr size_t kLatencyWindow = 256;
   constexpr int64_t kMinHedgeSamples = 16;
   std::vector<double> recent_latencies;
   recent_latencies.reserve(kLatencyWindow);
   size_t latency_cursor = 0;
   int64_t latency_count = 0;
-  auto record_latency = [&](double seconds) {
+  auto record_latency = [&](Stream& stream, double seconds) {
     if (recent_latencies.size() < kLatencyWindow) {
       recent_latencies.push_back(seconds);
     } else {
@@ -216,7 +428,7 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       latency_cursor = (latency_cursor + 1) % kLatencyWindow;
     }
     ++latency_count;
-    io_stats_.AddFetchLatency(seconds);
+    stream.io.AddFetchLatency(seconds);
   };
   // The adaptive hedge deadline in nanos, or -1 while too few fetches have
   // completed to estimate the percentile.
@@ -229,7 +441,7 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
         p / 100.0 * static_cast<double>(sorted.size() - 1));
     const double deadline_sec =
         std::clamp(sorted[index] * options_.hedge_latency_factor,
-                   options_.hedge_min_sec, options_.hedge_max_sec);
+                   options_.hedge_min_sec, kHedgeMaxSec);
     return static_cast<int64_t>(deadline_sec * 1e9);
   };
 
@@ -244,7 +456,7 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
     int64_t next_wait = -1;
     for (int s = 0; s < window; ++s) {
       Slot& slot = slots[static_cast<size_t>(s)];
-      if (slot.branches != 1 || slot.hedged) continue;
+      if (slot.branches != 1 || slot.hedged || !slot.stream->live()) continue;
       if (slot.next_alternate >= slot.plan.alternates.size()) continue;
       const int64_t age = now - slot.submit_nanos;
       if (age < deadline) {
@@ -268,44 +480,60 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       slot.hedge_alternate = static_cast<int>(slot.next_alternate);
       ++slot.next_alternate;
       slot.branches = 2;
-      io_stats_.AddHedge();
+      slot.stream->io.AddHedge();
     }
     return next_wait;
   };
 
-  // CompleteFetch + hand the raw record to the decode stage; frees the slot.
-  // `bytes` are the plan's fetched bytes (empty for fully-resident plans).
-  auto finish_slot = [&](int slot_index, std::string bytes) -> bool {
-    Slot& slot = slots[static_cast<size_t>(slot_index)];
+  // Scores the replica a fetch attempt ran against.
+  auto report_outcome = [&](Stream& stream, const FetchPlan& plan,
+                            const Status& status) {
+    if (!stream.EnterSourceCall()) return;
+    stream.source->ReportFetchOutcome(plan, status);
+    stream.ExitSourceCall();
+  };
+
+  // CompleteFetch + hand the raw record to the decode workers. `bytes` are
+  // the plan's fetched bytes (empty for fully-resident plans).
+  auto finish_fetch = [&](const std::shared_ptr<Stream>& stream,
+                          const FetchPlan& plan, std::string bytes) {
+    Stream& s = *stream;
+    if (!s.EnterSourceCall()) return;  // Stopped: drop the record.
     const int64_t complete_start = NowNanos();
-    auto raw = source_->CompleteFetch(slot.plan, std::move(bytes));
+    auto raw = s.source->CompleteFetch(plan, std::move(bytes));
+    s.ExitSourceCall();
+    PrefixCache* const prefixes = s.options.prefix_cache.get();
     if (raw.ok() && prefixes != nullptr && !raw->payload.empty() &&
         prefixes->Admits(raw->payload.size())) {
       // The payload is the record file's on-storage prefix at this group;
       // keep it so later fetches of the record plan around it.
-      prefixes->Insert(prefix_id, slot.plan.record, raw->scan_group,
+      prefixes->Insert(s.options.prefix_dataset_id, plan.record,
+                       raw->scan_group,
                        std::make_shared<const std::string>(raw->payload));
     }
-    io_stats_.AddBusyNanos(NowNanos() - complete_start);
-    free_slots.push_back(slot_index);
+    s.io.AddBusyNanos(NowNanos() - complete_start);
     if (!raw.ok()) {
-      RecordError(raw.status().WithContext("loader I/O stage"));
-      return false;
+      s.Fail(raw.status().WithContext("loader I/O stage"));
+      return;
     }
-    io_stats_.AddItem(raw->bytes_read);
+    s.io.AddItem(raw->bytes_read);
+    s.decode_pending.fetch_add(1, std::memory_order_relaxed);
     const int64_t push_start = NowNanos();
-    const bool pushed = fetch_queue_.Push(std::move(raw).MoveValue());
-    io_stats_.AddIdleNanos(NowNanos() - push_start);
-    if (!pushed) return false;  // Queue closed: Stop() or a stage failure.
-    io_stats_.SampleQueueDepth(fetch_queue_.size());
-    return true;
+    const bool pushed =
+        raw_queue_->Push(RawItem{stream, std::move(raw).MoveValue()});
+    io_gauges_.AddIdleNanos(NowNanos() - push_start);
+    if (!pushed) {  // Queue closed: shutdown.
+      s.decode_pending.fetch_sub(1, std::memory_order_relaxed);
+      return;
+    }
+    io_gauges_.SampleQueueDepth(raw_queue_->size());
   };
 
   // The whole plan as one request: adjacent segments become one vectored op
   // on backends that support it, and resident segments never reach storage.
   // (Re)submits the slot's current plan as branch 0 of its generation —
   // the initial attempt and every failover re-drive go through here.
-  auto submit_slot = [&](int slot_index) -> bool {
+  auto submit_slot = [&](int slot_index) -> Status {
     Slot& slot = slots[static_cast<size_t>(slot_index)];
     slot.submit_nanos = NowNanos();
     slot.hedged = false;
@@ -313,130 +541,165 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
     slot.branches = 1;
     ReadRequest request =
         slot.plan.ToReadRequest(encode_cookie(slot.generation, 0, slot_index));
-    Status submitted =
-        scheduler_for(slot.plan.env)->SubmitRead(std::move(request));
-    if (!submitted.ok()) {
-      RecordError(std::move(submitted).WithContext("loader I/O stage"));
-      return false;
-    }
-    return true;
+    return scheduler_for(slot.plan.env)->SubmitRead(std::move(request));
   };
 
-  bool running = true;
-  bool tickets_done = false;
-  while (running && !stopping_.load(std::memory_order_relaxed)) {
-    // Fill the window: issue tickets until it is full or the epoch limit is
-    // reached. Cache hits bypass the window entirely (no fetch, no decode):
-    // copy out of the immutable entry (busy time — it is the ticket's whole
-    // service cost) and short-circuit straight to the output queue.
-    while (running && !tickets_done && in_flight < window &&
-           !stopping_.load(std::memory_order_relaxed)) {
-      int record;
+  // A scheduler that fails a bounded wait is broken: every stream reading
+  // through this worker fails, and the worker starts over with fresh
+  // schedulers.
+  auto abandon_window = [&](const Status& status) {
+    for (int s = 0; s < window; ++s) {
+      Slot& slot = slots[static_cast<size_t>(s)];
+      if (slot.stream == nullptr) continue;
+      slot.stream->Fail(status.WithContext("loader I/O stage"));
+      release_slot(s);
+    }
+    fold_scheduler_stats();
+    schedulers.clear();
+    wait_cursor = 0;
+  };
+
+  std::vector<std::shared_ptr<Stream>> streams;  // This worker's copy.
+  uint64_t streams_version = ~uint64_t{0};
+  size_t stream_cursor = 0;  // Round-robin over `streams`.
+  int64_t unbilled_wait = 0;  // Completion wait not yet charged to a stream.
+  while (!shutdown_.load(std::memory_order_relaxed)) {
+    const uint64_t seen = wake_seq_.load();
+    if (streams_version_.load() != streams_version) {
+      std::lock_guard<std::mutex> lock(mu_);
+      streams = streams_;
+      streams_version = streams_version_.load();
+    }
+
+    // Fill the window: issue tickets round-robin over the streams that have
+    // credit and room in this window. Cache hits bypass the window entirely
+    // (no fetch, no decode): they alias the immutable entry and go straight
+    // to the stream's output queue.
+    while (in_flight < window && !shutdown_.load(std::memory_order_relaxed)) {
+      std::shared_ptr<Stream> stream;
+      int record = 0;
       std::shared_ptr<ScanGroupPolicy> policy;
-      {
-        std::lock_guard<std::mutex> lock(sampler_mu_);
-        if (ticket_limit_ > 0 && tickets_issued_ >= ticket_limit_) {
-          tickets_done = true;
+      for (size_t i = 0; i < streams.size(); ++i) {
+        const size_t at = (stream_cursor + i) % streams.size();
+        const auto held = reads_held.find(streams[at].get());
+        if (held != reads_held.end() &&
+            held->second >= streams[at]->worker_reads) {
+          continue;
+        }
+        if (streams[at]->TakeTicket(&record, &policy)) {
+          stream = streams[at];
+          stream_cursor = at + 1;
           break;
         }
-        record = sampler_->Next();
-        ++tickets_issued_;
-        policy = options_.scan_policy;  // May be swapped by set_scan_policy.
       }
+      if (stream == nullptr) break;
+      Stream& s = *stream;
       // Clamp like PlanFetch will, so cache keys match what gets stored.
       const int group =
-          std::clamp(policy->Select(num_groups, &rng), 1, num_groups);
+          std::clamp(policy->Select(s.num_groups, &rng), 1, s.num_groups);
 
-      if (cache != nullptr) {
-        const DecodeCacheKey key{options_.cache_dataset_id, record, group};
+      if (DecodeCache* const cache = s.options.decode_cache.get()) {
+        const DecodeCacheKey key{s.options.cache_dataset_id, record, group};
         if (auto cached = cache->Lookup(key)) {
-          io_stats_.AddCacheHit();
+          s.io.AddCacheHit();
           // Zero-copy delivery: alias the cache's entry instead of deep-
           // copying it. The wrapper's bytes_read = 0 records that this
           // delivery read nothing from storage (the shared entry keeps the
           // original fetch size for its own books).
-          io_stats_.AddZeroCopyHit(DecodeCache::BatchBytes(*cached));
+          s.io.AddZeroCopyHit(DecodeCache::BatchBytes(*cached));
           SharedLoadedBatch item;
           item.batch = std::move(cached);
           item.bytes_read = 0;
           item.zero_copy = true;
-          const int64_t push_start = NowNanos();
-          const bool pushed = output_queue_.Push(std::move(item));
-          io_stats_.AddIdleNanos(NowNanos() - push_start);
-          if (!pushed) running = false;  // Queue closed: Stop()/failure.
+          s.Deliver(std::move(item));
           continue;
         }
-        io_stats_.AddCacheMiss();
+        s.io.AddCacheMiss();
       }
 
       const int64_t plan_start = NowNanos();
       std::optional<FetchResident> resident;
-      if (prefixes != nullptr) {
-        resident = prefixes->Lookup(prefix_id, record);
+      if (PrefixCache* const prefixes = s.options.prefix_cache.get()) {
+        resident = prefixes->Lookup(s.options.prefix_dataset_id, record);
         if (resident.has_value()) {
-          io_stats_.AddPrefixHit();
+          s.io.AddPrefixHit();
         } else {
-          io_stats_.AddPrefixMiss();
+          s.io.AddPrefixMiss();
         }
       }
-      auto plan = source_->PlanFetch(
+      if (!s.EnterSourceCall()) continue;  // Stopped since the ticket.
+      auto plan = s.source->PlanFetch(
           record, group, resident.has_value() ? &*resident : nullptr);
+      s.ExitSourceCall();
       if (!plan.ok()) {
-        io_stats_.AddBusyNanos(NowNanos() - plan_start);
-        RecordError(plan.status().WithContext("loader I/O stage"));
-        running = false;
-        break;
-      }
-      const int slot_index = free_slots.back();
-      free_slots.pop_back();
-      Slot& slot = slots[static_cast<size_t>(slot_index)];
-      slot.plan = std::move(plan).MoveValue();
-      slot.next_alternate = 0;
-      ++slot.generation;  // Fresh tenancy: prior tenants' strays are dead.
-      if (slot.plan.fetch_bytes() == 0) {
-        // Fully resident (or empty): no storage I/O, complete right away.
-        // No outcome report — replica health scores storage attempts only.
-        io_stats_.AddBusyNanos(NowNanos() - plan_start);
-        if (!finish_slot(slot_index, std::string())) running = false;
+        s.io.AddBusyNanos(NowNanos() - plan_start);
+        s.Fail(plan.status().WithContext("loader I/O stage"));
         continue;
       }
-      if (!submit_slot(slot_index)) {
-        io_stats_.AddBusyNanos(NowNanos() - plan_start);
-        running = false;
+      if (plan->fetch_bytes() == 0) {
+        // Fully resident (or empty): no storage I/O, complete right away.
+        // No outcome report — replica health scores storage attempts only.
+        s.io.AddBusyNanos(NowNanos() - plan_start);
+        finish_fetch(stream, *plan, std::string());
+        continue;
+      }
+      const int slot_index = take_slot(stream, std::move(plan).MoveValue());
+      Status submitted = submit_slot(slot_index);
+      s.io.AddBusyNanos(NowNanos() - plan_start);
+      if (!submitted.ok()) {
+        s.Fail(std::move(submitted).WithContext("loader I/O stage"));
+        release_slot(slot_index);
+      }
+    }
+
+    if (in_flight == 0) {
+      // Nothing to wait on: park until a stream may have become eligible.
+      // An executor built for one stream retires once that stream is done,
+      // sealing the raw queue behind it as the last worker out.
+      std::unique_lock<std::mutex> lock(mu_);
+      if (sealed_ && std::all_of(streams_.begin(), streams_.end(),
+                                 [](const std::shared_ptr<Stream>& s) {
+                                   return !s->live() || s->tickets_done.load();
+                                 })) {
         break;
       }
-      ++in_flight;
-      io_stats_.SampleInFlight(in_flight);
-      io_stats_.AddBusyNanos(NowNanos() - plan_start);
+      const int64_t idle_start = NowNanos();
+      work_cv_.wait(lock, [&] {
+        return wake_seq_.load() != seen || shutdown_.load();
+      });
+      io_gauges_.AddIdleNanos(NowNanos() - idle_start);
+      continue;
     }
-    if (!running || in_flight == 0) break;  // Epoch limit reached or torn down.
 
     // Drain one completion. The wait is storage service time (busy): with a
     // full window this is where the worker sits while the device works
     // through its queue. Ready completions on any backend are taken first;
     // the worker then waits in bounded slices — never a blocking
-    // WaitCompletion — so hedge deadlines and Stop() stay observed even
+    // WaitCompletion — so hedge deadlines and shutdown stay observed even
     // against a backend that never completes (a wedged read cannot hang
-    // teardown). With several backends holding reads it polls them all at a
-    // short cadence instead — committing to one backend's wait would idle a
-    // fast shard's completed reads behind a slow shard's latency.
-    constexpr int64_t kWaitSliceNanos = 10'000'000;    // 10 ms.
-    constexpr int64_t kMinWaitSliceNanos = 100'000;    // 100 us.
+    // teardown). With room in the window it also leaves the wait when a
+    // stream may have become eligible, to fill it. With several backends
+    // holding reads it polls them all at a short cadence instead —
+    // committing to one backend's wait would idle a fast shard's completed
+    // reads behind a slow shard's latency.
+    constexpr int64_t kWaitSliceNanos = 10'000'000;     // 10 ms.
+    constexpr int64_t kRefillSliceNanos = 1'000'000;    // 1 ms.
+    constexpr int64_t kMinWaitSliceNanos = 100'000;     // 100 us.
     const int64_t wait_start = NowNanos();
     std::optional<ReadCompletion> completion;
-    while (running && !completion.has_value() &&
-           !stopping_.load(std::memory_order_relaxed)) {
+    while (!completion.has_value() &&
+           !shutdown_.load(std::memory_order_relaxed)) {
       // Hedge first: a straggler past its deadline gets its duplicate
       // submitted before the worker parks again.
       const int64_t next_hedge_wait = maybe_hedge();
       IoScheduler* only_pending = nullptr;
       int backends_pending = 0;
       for (size_t i = 0; i < schedulers.size(); ++i) {
-        auto& candidate = schedulers[(wait_cursor + i) % schedulers.size()];
-        if (candidate.second->in_flight() == 0) continue;
+        Backend& candidate = schedulers[(wait_cursor + i) % schedulers.size()];
+        if (candidate.scheduler->in_flight() == 0) continue;
         ++backends_pending;
-        only_pending = candidate.second.get();
-        completion = candidate.second->PollCompletion();
+        only_pending = candidate.scheduler.get();
+        completion = candidate.scheduler->PollCompletion();
         if (completion.has_value()) {
           wait_cursor = (wait_cursor + i + 1) % schedulers.size();
           break;
@@ -444,28 +707,28 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       }
       if (completion.has_value()) break;
       if (backends_pending == 0) break;  // Defensive; in_flight > 0 here.
+      const bool room = in_flight < window;
+      if (room && wake_seq_.load() != seen) break;  // Go fill the window.
       if (backends_pending == 1) {
         // Cut the slice to the next hedge deadline so a straggler's
         // duplicate goes out on time.
-        int64_t slice = kWaitSliceNanos;
+        int64_t slice = room ? kRefillSliceNanos : kWaitSliceNanos;
         if (next_hedge_wait >= 0) {
           slice = std::clamp(next_hedge_wait, kMinWaitSliceNanos, slice);
         }
         auto waited = only_pending->WaitCompletionFor(slice);
         if (!waited.ok()) {
-          if (!stopping_.load(std::memory_order_relaxed)) {
-            RecordError(waited.status().WithContext("loader I/O stage"));
-          }
-          running = false;
+          abandon_window(waited.status());
           break;
         }
         if (waited->has_value()) completion = std::move(**waited);
-        continue;  // Timed out: recheck hedges and stopping_.
+        continue;  // Timed out: recheck hedges, new work and shutdown.
       }
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
-    io_stats_.AddBusyNanos(NowNanos() - wait_start);
-    if (!running || !completion.has_value()) break;
+    unbilled_wait += NowNanos() - wait_start;
+    if (!completion.has_value()) continue;
+    fold_scheduler_stats();
 
     // Match the completion to its slot through the cookie. A stale
     // generation is a superseded branch — the loser of a hedge race, or an
@@ -479,23 +742,31 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       continue;
     }
     --slot.branches;
+    const std::shared_ptr<Stream> stream = slot.stream;
+    stream->io.AddBusyNanos(unbilled_wait);
+    unbilled_wait = 0;
+    if (!stream->live()) {
+      // Stopped or failed: the read is abandoned without touching the
+      // stream's source.
+      release_slot(slot_index);
+      continue;
+    }
     if (completion->status.ok()) {
       if (hedge_branch) {
         // The duplicate finished first: the slot's plan becomes the
         // alternate it ran against (CompleteFetch and replica scoring
         // route by the plan's replica).
-        io_stats_.AddHedgeWin();
+        stream->io.AddHedgeWin();
         slot.plan.UseAlternate(
             slot.plan.alternates[static_cast<size_t>(slot.hedge_alternate)]);
       }
-      source_->ReportFetchOutcome(slot.plan, completion->status);
-      record_latency(static_cast<double>(NowNanos() - slot.submit_nanos) *
-                     1e-9);
-      ++slot.generation;  // A still-racing twin is now a dead letter.
-      slot.branches = 0;
-      --in_flight;
-      io_stats_.SampleInFlight(in_flight);
-      if (!finish_slot(slot_index, std::move(completion->bytes))) break;
+      report_outcome(*stream, slot.plan, completion->status);
+      record_latency(*stream,
+                     static_cast<double>(NowNanos() - slot.submit_nanos) *
+                         1e-9);
+      const FetchPlan plan = std::move(slot.plan);
+      release_slot(slot_index);
+      finish_fetch(stream, plan, std::move(completion->bytes));
       continue;
     }
     // This branch failed for good (transient errors already retried below
@@ -506,155 +777,189 @@ void LoaderPipeline::IoWorkerLoop(uint64_t seed) {
       FetchPlan attempted = slot.plan;
       attempted.UseAlternate(
           slot.plan.alternates[static_cast<size_t>(slot.hedge_alternate)]);
-      source_->ReportFetchOutcome(attempted, completion->status);
+      report_outcome(*stream, attempted, completion->status);
     } else {
-      source_->ReportFetchOutcome(slot.plan, completion->status);
+      report_outcome(*stream, slot.plan, completion->status);
     }
     if (slot.branches > 0) continue;
     if (slot.next_alternate < slot.plan.alternates.size()) {
       slot.plan.UseAlternate(slot.plan.alternates[slot.next_alternate]);
       ++slot.next_alternate;
       ++slot.generation;  // New attempt; strays of the old one are dead.
-      io_stats_.AddFailover();
-      if (!submit_slot(slot_index)) {
-        running = false;
-        break;
+      stream->io.AddFailover();
+      Status submitted = submit_slot(slot_index);
+      if (!submitted.ok()) {
+        stream->Fail(std::move(submitted).WithContext("loader I/O stage"));
+        release_slot(slot_index);
       }
       continue;
     }
     // Replicas exhausted: the fetch is lost and the stream fails.
-    RecordError(completion->status.WithContext("loader I/O stage"));
-    break;
+    stream->Fail(completion->status.WithContext("loader I/O stage"));
+    release_slot(slot_index);
   }
-  // Slots still in flight after Stop() or a failure are dropped here: the
-  // schedulers' destructors join their service threads and discard the
-  // outstanding completions.
-  // Fold the schedulers' op/submit/syscall totals into the stage gauges
-  // before they go away — that is where syscalls-per-record comes from.
-  for (auto& [scheduler_env, scheduler] : schedulers) {
-    (void)scheduler_env;
-    io_stats_.AddSchedulerStats(scheduler->stats());
-  }
-  // Last I/O worker out seals the stage: decode drains what was fetched.
-  if (live_io_workers_.fetch_sub(1) == 1) fetch_queue_.Close();
+  // Slots still in flight at shutdown are dropped here: the schedulers'
+  // destructors discard the outstanding completions.
+  fold_scheduler_stats();
+  // Last I/O worker out seals the raw queue: decode drains what was fetched.
+  if (live_io_workers_.fetch_sub(1) == 1) raw_queue_->Close();
 }
 
-Result<LoadedBatch> LoaderPipeline::AssembleAndDecode(
-    RawRecord raw, jpeg::DecodeScratch* scratch) {
-  const int record = raw.record;
-  const int group = raw.scan_group;
-  PCR_ASSIGN_OR_RETURN(RecordBatch assembled,
-                       source_->AssembleRecord(std::move(raw)));
-  if (options_.decode) {
-    return DecodeRecordBatch(std::move(assembled), record, group, scratch);
-  }
-  LoadedBatch batch;
-  batch.record_index = record;
-  batch.scan_group = group;
-  batch.labels = std::move(assembled.labels);
-  batch.bytes_read = assembled.bytes_read;
-  batch.jpeg_spans = std::move(assembled.spans);
-  batch.jpeg_backing = std::move(assembled.backing);
-  return batch;
-}
-
-void LoaderPipeline::DecodeWorkerLoop() {
+void LoaderExecutor::DecodeWorkerLoop() {
   // Per-worker reusable decode buffers: coefficient planes and YCbCr
   // staging are allocated once and recycled across every record this
   // worker decodes.
   jpeg::DecodeScratch scratch;
-  std::vector<RawRecord> claimed;
-  claimed.reserve(static_cast<size_t>(options_.decode_pop_batch));
-  bool running = true;
-  while (running) {
-    claimed.clear();
-    // Claim at most a fair share of the queued records: batching cuts lock
-    // churn when the queue runs deep, but near end-of-stream (or with slow
-    // storage) grabbing a full batch would serialize records that idle
-    // peer workers could decode in parallel.
-    const size_t share =
-        fetch_queue_.size() / static_cast<size_t>(options_.decode_threads);
-    const size_t claim = std::clamp<size_t>(
-        share, 1, static_cast<size_t>(options_.decode_pop_batch));
+  for (;;) {
     const int64_t pop_start = NowNanos();
-    fetch_queue_.PopMany(claim, &claimed);
-    decode_stats_.AddIdleNanos(NowNanos() - pop_start);
-    if (claimed.empty()) break;  // Upstream sealed and drained.
-
-    // Claimed records count as in flight until their batch is in the
-    // output queue, so consumer stall attribution sees them.
-    decode_in_flight_.fetch_add(static_cast<int>(claimed.size()),
-                                std::memory_order_relaxed);
-    size_t done = 0;
-    for (RawRecord& raw : claimed) {
-      // Residual items drain normally at end-of-stream, but after Stop() or
-      // a stage failure decoding them is wasted work — bail pre-decode.
-      if (stopping_.load(std::memory_order_relaxed) || !status().ok()) {
-        running = false;
-        break;
-      }
-      const uint64_t bytes = raw.bytes_read;
-      const int64_t work_start = NowNanos();
-      auto batch = AssembleAndDecode(std::move(raw), &scratch);
-      decode_stats_.AddBusyNanos(NowNanos() - work_start);
-      if (!batch.ok()) {
-        RecordError(batch.status().WithContext("loader decode stage"));
-        running = false;
-        break;
-      }
-      decode_stats_.AddItem(bytes);
-
-      // Cache population: the copy happens here, off the consumer path and
-      // before the push (so the consumer's batch stays uniquely owned and
-      // Next() can steal it without copying); the insert itself — a single
-      // move — waits until after the push so the consumer is unblocked
-      // first.
-      DecodeCache* const cache = options_.decode_cache.get();
-      std::optional<LoadedBatch> to_cache;
-      DecodeCacheKey cache_key;
-      if (cache != nullptr) {
-        cache_key = DecodeCacheKey{options_.cache_dataset_id,
-                                   batch->record_index, batch->scan_group};
-        if (cache->Admits(cache_key, DecodeCache::BatchBytes(*batch))) {
-          const int64_t copy_start = NowNanos();
-          to_cache.emplace(*batch);
-          decode_stats_.AddBytesCopied(DecodeCache::BatchBytes(*batch));
-          decode_stats_.AddBusyNanos(NowNanos() - copy_start);
-        }
-      }
-
-      SharedLoadedBatch item;
-      // Deliberately a non-const object under a pointer-to-const: Next() may
-      // legally const_cast and steal it when the consumer is the sole owner.
-      item.batch = std::make_shared<LoadedBatch>(std::move(batch).MoveValue());
-      item.bytes_read = item.batch->bytes_read;
-      item.zero_copy = false;
-
-      // Drop the in-flight mark before the push: a consumer woken by this
-      // batch then sees a consistent picture (work either in flight or in
-      // the output queue, never in the gap between).
-      ++done;
-      decode_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-      const int64_t push_start = NowNanos();
-      const bool pushed = output_queue_.Push(std::move(item));
-      decode_stats_.AddIdleNanos(NowNanos() - push_start);
-      if (!pushed) {  // Queue closed: Stop() or a stage failure.
-        running = false;
-        break;
-      }
-      if (to_cache.has_value()) {
-        cache->Insert(cache_key, std::move(*to_cache));
-      }
-      decode_stats_.SampleQueueDepth(output_queue_.size());
+    std::optional<RawItem> item = raw_queue_->Pop();
+    decode_gauges_.AddIdleNanos(NowNanos() - pop_start);
+    if (!item.has_value()) break;  // Sealed and drained.
+    Stream& s = *item->stream;
+    const int record = item->raw.record;
+    const int group = item->raw.scan_group;
+    const uint64_t bytes = item->raw.bytes_read;
+    // After Stop(), a failure or shutdown, decoding is wasted work and the
+    // source is off limits: drop the record.
+    if (shutdown_.load(std::memory_order_relaxed) || !s.EnterSourceCall()) {
+      s.decode_pending.fetch_sub(1, std::memory_order_relaxed);
+      continue;
     }
-    // Un-mark any records this visit abandoned.
-    if (done < claimed.size()) {
-      decode_in_flight_.fetch_sub(static_cast<int>(claimed.size() - done),
-                                  std::memory_order_relaxed);
+    const int64_t work_start = NowNanos();
+    Result<RecordBatch> assembled = s.source->AssembleRecord(
+        std::move(item->raw));
+    s.ExitSourceCall();
+    Result<LoadedBatch> batch =
+        !assembled.ok() ? Result<LoadedBatch>(assembled.status())
+        : s.options.decode
+            ? DecodeRecordBatch(std::move(assembled).MoveValue(), record,
+                                group, &scratch)
+            : CompressedBatch(std::move(assembled).MoveValue(), record, group);
+    s.decode.AddBusyNanos(NowNanos() - work_start);
+    if (!batch.ok()) {
+      s.Fail(batch.status().WithContext("loader decode stage"));
+      s.decode_pending.fetch_sub(1, std::memory_order_relaxed);
+      continue;
     }
+    s.decode.AddItem(bytes);
+
+    // Cache population: the copy happens here, off the consumer path and
+    // before the push (so the consumer's batch stays uniquely owned and
+    // Next() can steal it without copying); the insert itself — a single
+    // move — waits until after the push so the consumer is unblocked first.
+    DecodeCache* const cache = s.options.decode_cache.get();
+    std::optional<LoadedBatch> to_cache;
+    DecodeCacheKey cache_key;
+    if (cache != nullptr) {
+      cache_key = DecodeCacheKey{s.options.cache_dataset_id,
+                                 batch->record_index, batch->scan_group};
+      if (cache->Admits(cache_key, DecodeCache::BatchBytes(*batch))) {
+        const int64_t copy_start = NowNanos();
+        to_cache.emplace(*batch);
+        s.decode.AddBytesCopied(DecodeCache::BatchBytes(*batch));
+        s.decode.AddBusyNanos(NowNanos() - copy_start);
+      }
+    }
+
+    SharedLoadedBatch out;
+    // Deliberately a non-const object under a pointer-to-const: Next() may
+    // legally const_cast and steal it when the consumer is the sole owner.
+    out.batch = std::make_shared<LoadedBatch>(std::move(batch).MoveValue());
+    out.bytes_read = out.batch->bytes_read;
+    out.zero_copy = false;
+
+    // Drop the pending mark before the push: a consumer woken by this batch
+    // then sees a consistent picture (work either pending or in the output
+    // queue, never in the gap between).
+    s.decode_pending.fetch_sub(1, std::memory_order_relaxed);
+    s.Deliver(std::move(out));
+    if (to_cache.has_value()) cache->Insert(cache_key, std::move(*to_cache));
+    s.decode.SampleQueueDepth(s.output.size());
   }
-  // Last decoder out seals the output: the consumer sees end-of-stream.
-  if (live_decode_workers_.fetch_sub(1) == 1) output_queue_.Close();
+}
+
+void LoaderExecutor::AddIoGauges(StageStatsSnapshot* snap) const {
+  const StageStatsSnapshot workers = io_gauges_.Snapshot("io", 0, 0);
+  snap->idle_seconds = workers.idle_seconds;
+  snap->mean_queue_depth = workers.mean_queue_depth;
+  snap->mean_in_flight = workers.mean_in_flight;
+  snap->submission_window = options_.io_inflight;
+  snap->io_requests = workers.io_requests;
+  snap->io_segments = workers.io_segments;
+  snap->io_ops = workers.io_ops;
+  snap->io_submits = workers.io_submits;
+  snap->io_syscalls = workers.io_syscalls;
+  snap->io_retries = workers.io_retries;
+  const char* backend = io_backend_name_.load(std::memory_order_relaxed);
+  if (backend != nullptr) snap->io_backend = backend;
+}
+
+void LoaderExecutor::AddDecodeGauges(StageStatsSnapshot* snap) const {
+  snap->idle_seconds = decode_gauges_.Snapshot("decode", 0, 0).idle_seconds;
+}
+
+// --- LoaderPipeline ----------------------------------------------------------
+
+LoaderPipeline::LoaderPipeline(RecordSource* source,
+                               LoaderPipelineOptions options)
+    : LoaderPipeline(source, options,
+                     std::make_shared<LoaderExecutor>(options),
+                     /*private_executor=*/true) {}
+
+LoaderPipeline::LoaderPipeline(RecordSource* source,
+                               LoaderPipelineOptions options,
+                               std::shared_ptr<LoaderExecutor> executor)
+    : LoaderPipeline(source, std::move(options), std::move(executor),
+                     /*private_executor=*/false) {}
+
+LoaderPipeline::LoaderPipeline(RecordSource* source,
+                               LoaderPipelineOptions options,
+                               std::shared_ptr<LoaderExecutor> executor,
+                               bool private_executor)
+    : executor_(std::move(executor)), private_executor_(private_executor) {
+  PCR_CHECK(source != nullptr);
+  PCR_CHECK(executor_ != nullptr);
+  PCR_CHECK_GT(source->num_records(), 0);
+  stream_ = std::make_shared<LoaderExecutor::Stream>(
+      source, std::move(options), executor_->options_);
+  executor_->Attach(stream_, /*last=*/private_executor_);
+}
+
+LoaderPipeline::~LoaderPipeline() { Stop(); }
+
+void LoaderPipeline::Stop() {
+  stream_->Close();
+  stream_->AwaitSourceCalls();
+  executor_->Detach(stream_.get());
+  if (private_executor_) executor_->Shutdown();
+}
+
+Status LoaderPipeline::status() const { return stream_->status(); }
+
+size_t LoaderPipeline::records_per_epoch() const {
+  return stream_->records_per_epoch;
+}
+
+void LoaderPipeline::set_scan_policy(std::shared_ptr<ScanGroupPolicy> policy) {
+  PCR_CHECK(policy != nullptr);
+  std::lock_guard<std::mutex> lock(stream_->mu);
+  stream_->options.scan_policy = std::move(policy);
+}
+
+const std::shared_ptr<DecodeCache>& LoaderPipeline::decode_cache() const {
+  return stream_->options.decode_cache;
+}
+
+uint64_t LoaderPipeline::cache_dataset_id() const {
+  return stream_->options.cache_dataset_id;
+}
+
+const std::shared_ptr<PrefixCache>& LoaderPipeline::prefix_cache() const {
+  return stream_->options.prefix_cache;
+}
+
+uint64_t LoaderPipeline::prefix_dataset_id() const {
+  return stream_->options.prefix_dataset_id;
 }
 
 Result<LoadedBatch> LoaderPipeline::Next() {
@@ -676,54 +981,47 @@ Result<LoadedBatch> LoaderPipeline::Next() {
 }
 
 Result<SharedLoadedBatch> LoaderPipeline::NextShared() {
+  LoaderExecutor::Stream& s = *stream_;
   {
     // Fail fast: a recorded stage failure outranks queued batches.
-    Status failed = status();
+    Status failed = s.status();
     if (!failed.ok()) return failed;
   }
-  std::optional<SharedLoadedBatch> batch = output_queue_.TryPop();
+  std::optional<SharedLoadedBatch> batch = s.output.TryPop();
   if (!batch.has_value()) {
-    // Raw bytes sitting in (or moving through) the decode stage mean
-    // storage has delivered and CPU is the laggard.
+    // The stream's raw bytes sitting in (or moving through) the decode
+    // workers mean storage has delivered and CPU is the laggard.
     const bool decode_busy_at_start =
-        fetch_queue_.size() > 0 ||
-        decode_in_flight_.load(std::memory_order_relaxed) > 0;
+        s.decode_pending.load(std::memory_order_relaxed) > 0;
     const int64_t stall_start = NowNanos();
-    batch = output_queue_.Pop();
+    batch = s.output.Pop();
     const int64_t waited = NowNanos() - stall_start;
     // A data stall — but only if a batch resolved it; a wait ended by
     // Stop(), a stage failure, or end-of-stream is teardown, not stalling.
-    // Decode-bound if the decode stage held work at either edge of the
-    // stall: at the start it means the stalled-on record was already
-    // fetched; at the end it means decode is still backed up. An io-bound
-    // stall (storage quiet, decode idle) shows neither — including a stall
-    // resolved by a cache hit, which the I/O workers serve.
+    // Decode-bound if the stream had records waiting for decode at either
+    // edge of the stall: at the start it means the stalled-on record was
+    // already fetched; at the end it means decode is still backed up. An
+    // io-bound stall (storage quiet, decode idle) shows neither — including
+    // a stall resolved by a cache hit, which the I/O workers serve.
     if (batch.has_value()) {
       const bool decode_bound =
-          decode_busy_at_start || fetch_queue_.size() > 0 ||
-          decode_in_flight_.load(std::memory_order_relaxed) > 0;
+          decode_busy_at_start ||
+          s.decode_pending.load(std::memory_order_relaxed) > 0;
       (decode_bound ? decode_stall_nanos_ : io_stall_nanos_)
           .fetch_add(waited, std::memory_order_relaxed);
     }
   }
   if (!batch.has_value()) {
-    Status failed = status();
+    Status failed = s.status();
     if (!failed.ok()) return failed;
-    if (stopping_.load()) return Status::Aborted("loader pipeline stopped");
+    if (!s.live()) return Status::Aborted("loader pipeline stopped");
     return Status::OutOfRange("loader pipeline: end of stream");
   }
+  // Return the ticket's credit; a stream that had run dry may take tickets
+  // again.
+  if (s.credit.fetch_add(1) == 0) executor_->Kick();
   batches_delivered_.fetch_add(1, std::memory_order_relaxed);
   return std::move(*batch);
-}
-
-void LoaderPipeline::Stop() {
-  stopping_.store(true);
-  fetch_queue_.Close();
-  output_queue_.Close();
-  for (auto& worker : io_workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  if (decode_pool_ != nullptr) decode_pool_->Shutdown();
 }
 
 double LoaderPipeline::stall_seconds() const {
@@ -739,13 +1037,11 @@ double LoaderPipeline::decode_stall_seconds() const {
 }
 
 StageStatsSnapshot LoaderPipeline::io_stats() const {
-  StageStatsSnapshot snap =
-      io_stats_.Snapshot("io", options_.io_threads, fetch_queue_.capacity());
-  snap.submission_window = options_.io_inflight;
-  const char* backend = io_backend_name_.load(std::memory_order_relaxed);
-  if (backend != nullptr) snap.io_backend = backend;
-  if (options_.decode_cache != nullptr) {
-    const DecodeCacheStats cache = options_.decode_cache->stats();
+  StageStatsSnapshot snap = stream_->io.Snapshot(
+      "io", executor_->io_threads(), executor_->raw_queue_->capacity());
+  executor_->AddIoGauges(&snap);
+  if (stream_->options.decode_cache != nullptr) {
+    const DecodeCacheStats cache = stream_->options.decode_cache->stats();
     snap.cache_evictions = cache.evictions;
     snap.cache_bytes = cache.bytes_in_use;
   }
@@ -753,8 +1049,10 @@ StageStatsSnapshot LoaderPipeline::io_stats() const {
 }
 
 StageStatsSnapshot LoaderPipeline::decode_stats() const {
-  return decode_stats_.Snapshot("decode", options_.decode_threads,
-                                output_queue_.capacity());
+  StageStatsSnapshot snap = stream_->decode.Snapshot(
+      "decode", executor_->decode_threads(), stream_->output.capacity());
+  executor_->AddDecodeGauges(&snap);
+  return snap;
 }
 
 }  // namespace pcr

@@ -1,34 +1,50 @@
-// LoaderPipeline: the staged wall-clock data loader. Splits every record
-// read into the two resources it actually consumes:
+// The staged wall-clock data loader, in two parts:
 //
-//   [I/O stage]    io_threads workers pull (record, scan group) tickets from
-//                  a shared epoch sampler, plan them via
-//                  RecordSource::PlanFetch, and keep up to `io_inflight`
-//                  fetches in flight through the backend Env's
-//                  submission/completion IoScheduler (storage-bound, no CPU
-//                  work), draining completions through
-//                  RecordSource::CompleteFetch into a bounded raw-record
-//                  queue. Sharded sources route each plan to its own
-//                  backend, so one worker can hold reads open against
-//                  several devices at once.
-//   [decode stage] decode_threads workers on a util::ThreadPool pop raw
-//                  records, run RecordSource::AssembleRecord plus parallel
-//                  JPEG decodes (CPU-bound, no I/O), feeding the bounded
-//                  output queue the consumer pops from.
+//   LoaderExecutor  owns the workers. Its I/O workers issue (record, scan
+//                   group) tickets round-robin over the attached streams,
+//                   plan them via RecordSource::PlanFetch, and keep up to
+//                   `io_inflight` fetches each in flight through the backend
+//                   Env's submission/completion IoScheduler (storage-bound,
+//                   no CPU work), with retry, failover and hedged reads.
+//                   Completed fetches (RecordSource::CompleteFetch) go to
+//                   one shared raw-record queue; its decode workers run
+//                   RecordSource::AssembleRecord plus the JPEG decodes
+//                   (CPU-bound, no I/O) and push each batch to the output
+//                   queue of the stream it belongs to.
+//   LoaderPipeline  is one stream attached to an executor: its epoch
+//                   sampler, scan policy, epoch limit, cache namespaces,
+//                   output queue and stats. Next() pops from its queue.
 //
-// Each stage has independently sized thread counts and queue depths, its own
-// StageStats (busy/idle time, items, bytes, queue occupancy), and consumer
-// stalls are attributed to the stage that caused them: a stall with an empty
-// raw queue and no decode in flight is storage's fault (io-bound), anything
-// else means decode could not keep up (decode-bound) — the Figure 11/18
-// breakdown the paper's data-stall analysis needs.
+// Resource model. The serving daemon runs one executor and attaches every
+// client stream to it, so a stream costs no worker threads of its own. An
+// in-process LoaderPipeline(source, options) builds a private executor from
+// its own io_threads and decode_threads: the same code running one stream.
 //
-// Failures in either stage record the first non-OK Status, drain the
-// pipeline, and surface from Next(); with max_epochs set, Next() returns
-// OutOfRange once every record has been delivered exactly once per epoch.
+// Admission. A stream holds a credit of output_queue_depth + io_threads *
+// io_inflight batches: a ticket takes one, Next() returns it. Tickets are
+// only issued against credit, so the output queue (sized to the credit)
+// never blocks a decode worker, and a stream whose consumer stops calling
+// Next() only stops its own tickets. Within each I/O worker a stream holds
+// at most its own io_inflight reads, so a stream whose reads stall cannot
+// take another stream's share of the window.
+//
+// Stats. Counters a ticket can be charged to (items, bytes, busy time, cache
+// and prefix hits, zero-copy hits, failovers, hedges, fetch latencies) are
+// per stream; worker gauges (idle time, raw-queue depth, window occupancy,
+// scheduler ops and syscalls, retries, backend name) come from the executor.
+// Consumer stalls are attributed from the stream's own records: a stall with
+// none of them fetched and waiting for decode is storage's fault (io-bound),
+// anything else means decode could not keep up (decode-bound) — the Figure
+// 11/18 breakdown the paper's data-stall analysis needs.
+//
+// Failures record the stream's first non-OK Status and surface from Next();
+// with max_epochs set, Next() returns OutOfRange once every record has been
+// delivered exactly once per epoch.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -43,30 +59,26 @@
 #include "loader/scan_policy.h"
 #include "loader/stage_stats.h"
 #include "util/bounded_queue.h"
-#include "util/thread_pool.h"
 
 namespace pcr {
 
+/// Options of one stream. The fields marked "executor" size and configure
+/// the workers: a LoaderExecutor reads them from the options it is built
+/// with, and a stream attached to a shared executor ignores its own copies.
 struct LoaderPipelineOptions {
-  /// I/O stage: workers submitting fetches and draining completions.
+  /// Executor: I/O workers submitting fetches and draining completions.
   int io_threads = 2;
-  /// Fetches each I/O worker keeps in flight through its Env's IoScheduler
-  /// (io_uring-style submission window). 1 reproduces the blocking
-  /// one-read-per-worker shape; deeper windows fill the device queue so
-  /// small partial scan-group reads stop leaving storage bandwidth idle.
-  /// Total reads in flight = io_threads * io_inflight.
+  /// Fetches each I/O worker keeps in flight for this stream through its
+  /// Env's IoScheduler (io_uring-style submission window). 1 reproduces the
+  /// blocking one-read-per-worker shape; deeper windows fill the device
+  /// queue so small partial scan-group reads stop leaving storage bandwidth
+  /// idle. Executor: the same field sizes each worker's whole window, shared
+  /// by every attached stream.
   int io_inflight = 4;
-  /// Raw records buffered between the I/O and decode stages.
-  int fetch_queue_depth = 8;
-  /// Decode stage: ThreadPool workers running AssembleRecord + jpeg::Decode.
+  /// Executor: decode workers running AssembleRecord + jpeg::Decode.
   int decode_threads = 4;
-  /// Upper bound on raw records a decode worker claims per queue visit
-  /// (one lock + one notify per visit instead of per record); the actual
-  /// claim is capped at the worker's fair share of the queued records so a
-  /// draining queue still spreads across idle workers. Records decode and
-  /// deliver one at a time. >= 1.
-  int decode_pop_batch = 4;
-  /// Decoded batches buffered ahead of the consumer.
+  /// Decoded batches buffered ahead of the consumer; the stream's credit
+  /// adds its read window on top (see the header comment).
   int output_queue_depth = 8;
   /// When false, batches carry assembled JPEG streams instead of decoded
   /// images (consumers that ship compressed bytes downstream).
@@ -95,38 +107,36 @@ struct LoaderPipelineOptions {
   /// same id.
   uint64_t cache_dataset_id = 0;
 
-  /// I/O backend for the stage's schedulers. kAuto defers to the PCR_FORCE_IO
-  /// override / runtime io_uring probe (storage/io_backend.h); tests and
-  /// benches pin a tier explicitly.
+  /// Executor: I/O backend for the workers' schedulers. kAuto defers to the
+  /// PCR_FORCE_IO override / runtime io_uring probe (storage/io_backend.h);
+  /// tests and benches pin a tier explicitly.
   IoBackend io_backend = IoBackend::kAuto;
-  /// Submission window the uring backend coalesces per io_uring_submit —
-  /// plans queued as SQEs before one enter syscall flushes them. Ignored by
-  /// the sync/thread backends, which have no batched submission.
+  /// Executor: submission window the uring backend coalesces per
+  /// io_uring_submit — plans queued as SQEs before one enter syscall flushes
+  /// them. Ignored by the sync/thread backends, which have no batched
+  /// submission.
   int io_submit_batch = 4;
 
-  // Fault tolerance on the I/O stage. Three independent layers: transparent
-  // retry of transient backend errors (storage/io_retry.h wraps each
-  // scheduler), replica failover (a failed fetch re-submits against the
-  // plan's next FetchPlan::alternates entry), and hedged reads (a fetch
-  // outliving an adaptive deadline duplicates to an alternate;
-  // first-completion-wins, the loser is discarded on arrival). Replica-less
-  // sources attach no alternates, so failover and hedging are no-ops there.
+  // Fault tolerance on the I/O workers (all executor settings). Three
+  // independent layers: transparent retry of transient backend errors
+  // (storage/io_retry.h wraps each scheduler), replica failover (a failed
+  // fetch re-submits against the plan's next FetchPlan::alternates entry),
+  // and hedged reads (a fetch outliving an adaptive deadline duplicates to
+  // an alternate; first-completion-wins, the loser is discarded on arrival).
+  // Replica-less sources attach no alternates, so failover and hedging are
+  // no-ops there.
   /// Submissions per request against one backend before its failure
   /// surfaces to failover; 1 disables retry.
   int io_retry_attempts = 3;
-  /// First retry backoff; doubles per retry (capped at 100x) on the
-  /// backend Env's clock.
-  double io_retry_backoff_sec = 0.5e-3;
   /// Duplicate a slow fetch to an untried alternate replica once it
   /// outlives the hedge deadline.
   bool hedged_reads = true;
   /// Deadline = clamp(worker-local latency percentile * factor,
-  /// [hedge_min_sec, hedge_max_sec]); no hedging until the worker has
-  /// observed enough completed fetches to estimate the percentile.
+  /// [hedge_min_sec, 1 s]); no hedging until the worker has observed enough
+  /// completed fetches to estimate the percentile.
   double hedge_percentile = 95.0;
   double hedge_latency_factor = 2.0;
   double hedge_min_sec = 1e-3;
-  double hedge_max_sec = 1.0;
 
   // Raw scan-prefix cache (loader/prefix_cache.h). I/O workers feed each
   // ticket's PlanFetch the record's cached prefix, so a quality upgrade
@@ -153,11 +163,85 @@ struct SharedLoadedBatch {
   bool zero_copy = false;
 };
 
-/// Two-stage threaded loader. Thread-safe for a single consumer of Next();
-/// construction starts the stages, destruction (or Stop()) shuts them down.
+/// The loader's workers: a fixed set of I/O workers and a fixed set of
+/// decode workers serving every attached LoaderPipeline. Construction starts
+/// them; Shutdown() (or destruction) joins them. Every Env a stream's plans
+/// route to must outlive the executor: abandoned reads drain when it shuts
+/// down.
+class LoaderExecutor {
+ public:
+  /// Starts `io_threads` I/O workers with a window of `io_inflight` reads
+  /// each and `decode_threads` decode workers, configured by the options'
+  /// executor fields.
+  explicit LoaderExecutor(const LoaderPipelineOptions& options);
+  ~LoaderExecutor();
+
+  LoaderExecutor(const LoaderExecutor&) = delete;
+  LoaderExecutor& operator=(const LoaderExecutor&) = delete;
+
+  /// Joins every worker. Reads still in flight are abandoned; streams still
+  /// attached end Aborted. Idempotent.
+  void Shutdown();
+
+  int io_threads() const { return options_.io_threads; }
+  int decode_threads() const { return options_.decode_threads; }
+
+ private:
+  friend class LoaderPipeline;
+  struct Stream;
+  struct RawItem;
+
+  /// Adds a stream to the round-robin. `last` marks the executor as built
+  /// for this one stream: its workers then exit once the stream has nothing
+  /// left to do, as an in-process pipeline's threads always have.
+  void Attach(std::shared_ptr<Stream> stream, bool last);
+  /// Removes a stream from the round-robin (its in-flight work is dropped
+  /// as it lands).
+  void Detach(const Stream* stream);
+  /// Wakes I/O workers parked for lack of work.
+  void Kick();
+
+  void IoWorkerLoop(uint64_t seed);
+  void DecodeWorkerLoop();
+  /// Worker gauges folded into a stream's snapshots.
+  void AddIoGauges(StageStatsSnapshot* snap) const;
+  void AddDecodeGauges(StageStatsSnapshot* snap) const;
+
+  LoaderPipelineOptions options_;
+  std::unique_ptr<BoundedQueue<RawItem>> raw_queue_;
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::vector<std::shared_ptr<Stream>> streams_;  // Guarded by mu_.
+  bool sealed_ = false;                            // Guarded by mu_.
+  /// Bumped (under mu_) whenever a stream may have become eligible for
+  /// tickets: attach, detach, credit returned, shutdown.
+  std::atomic<uint64_t> wake_seq_{0};
+  std::atomic<uint64_t> streams_version_{0};
+  std::atomic<bool> shutdown_{false};
+  std::atomic<int> live_io_workers_{0};
+
+  std::mutex join_mu_;
+  std::vector<std::thread> io_workers_;
+  std::vector<std::thread> decode_workers_;
+
+  StageStats io_gauges_;
+  StageStats decode_gauges_;
+  /// Resolved backend name of the workers' schedulers (a static string from
+  /// IoScheduler::backend_name), stamped by the first worker to open one.
+  std::atomic<const char*> io_backend_name_{nullptr};
+};
+
+/// One stream of batches. Thread-safe for a single consumer of Next();
+/// construction attaches it (and starts a private executor's workers),
+/// destruction (or Stop()) detaches it.
 class LoaderPipeline {
  public:
+  /// A stream on a private executor built from `options`.
   LoaderPipeline(RecordSource* source, LoaderPipelineOptions options);
+  /// A stream attached to a shared executor.
+  LoaderPipeline(RecordSource* source, LoaderPipelineOptions options,
+                 std::shared_ptr<LoaderExecutor> executor);
   ~LoaderPipeline();
 
   LoaderPipeline(const LoaderPipeline&) = delete;
@@ -178,8 +262,11 @@ class LoaderPipeline {
   /// batch. The serving daemon's data plane consumes this form.
   Result<SharedLoadedBatch> NextShared();
 
-  /// Stops both stages; undecoded queued work is dropped, while batches the
-  /// decode stage already delivered remain poppable via Next(). Idempotent.
+  /// Detaches the stream: returns once no executor thread is inside a call
+  /// on its RecordSource. Reads in flight are abandoned and their
+  /// completions dropped; batches already delivered to the output queue
+  /// remain poppable via Next(). A private executor is shut down as well.
+  /// Idempotent.
   void Stop();
 
   /// First non-OK status recorded by either stage (OK while healthy).
@@ -202,7 +289,7 @@ class LoaderPipeline {
   StageStatsSnapshot io_stats() const;
   StageStatsSnapshot decode_stats() const;
 
-  size_t records_per_epoch() const { return sampler_->records_per_epoch(); }
+  size_t records_per_epoch() const;
 
   /// Swaps the per-record quality policy on the live pipeline (dynamic
   /// tuning). Tickets already fetched or queued keep their old group; new
@@ -212,53 +299,20 @@ class LoaderPipeline {
 
   /// The decoded-record cache in use (null when caching is off) and this
   /// pipeline's key namespace inside it.
-  const std::shared_ptr<DecodeCache>& decode_cache() const {
-    return options_.decode_cache;
-  }
-  uint64_t cache_dataset_id() const { return options_.cache_dataset_id; }
+  const std::shared_ptr<DecodeCache>& decode_cache() const;
+  uint64_t cache_dataset_id() const;
 
   /// The raw scan-prefix cache in use (null when off) and its namespace.
-  const std::shared_ptr<PrefixCache>& prefix_cache() const {
-    return options_.prefix_cache;
-  }
-  uint64_t prefix_dataset_id() const { return options_.prefix_dataset_id; }
+  const std::shared_ptr<PrefixCache>& prefix_cache() const;
+  uint64_t prefix_dataset_id() const;
 
  private:
-  void IoWorkerLoop(uint64_t seed);
-  void DecodeWorkerLoop();
-  Result<LoadedBatch> AssembleAndDecode(RawRecord raw,
-                                        jpeg::DecodeScratch* scratch);
-  void RecordError(Status status);
+  LoaderPipeline(RecordSource* source, LoaderPipelineOptions options,
+                 std::shared_ptr<LoaderExecutor> executor, bool private_executor);
 
-  RecordSource* source_;
-  LoaderPipelineOptions options_;
-
-  BoundedQueue<RawRecord> fetch_queue_;
-  BoundedQueue<SharedLoadedBatch> output_queue_;
-
-  std::vector<std::thread> io_workers_;
-  std::unique_ptr<ThreadPool> decode_pool_;
-
-  // Ticket issuance: a shared epoch sampler; each record is issued exactly
-  // once per epoch no matter how many I/O workers race on it.
-  std::mutex sampler_mu_;
-  std::unique_ptr<RecordSampler> sampler_;
-  int64_t tickets_issued_ = 0;
-  int64_t ticket_limit_ = 0;  // 0 = unbounded.
-
-  std::atomic<bool> stopping_{false};
-  std::atomic<int> live_io_workers_{0};
-  std::atomic<int> live_decode_workers_{0};
-  std::atomic<int> decode_in_flight_{0};
-
-  mutable std::mutex error_mu_;
-  Status first_error_;  // OK until a stage fails.
-
-  StageStats io_stats_;
-  StageStats decode_stats_;
-  /// Resolved backend name of the stage's schedulers (a static string from
-  /// IoScheduler::backend_name), stamped by the first worker to open one.
-  std::atomic<const char*> io_backend_name_{nullptr};
+  const std::shared_ptr<LoaderExecutor> executor_;
+  const bool private_executor_;
+  std::shared_ptr<LoaderExecutor::Stream> stream_;
 
   std::atomic<int64_t> io_stall_nanos_{0};
   std::atomic<int64_t> decode_stall_nanos_{0};

@@ -215,8 +215,8 @@ class StageStats {
     in_flight_sum_.fetch_add(depth, std::memory_order_relaxed);
     in_flight_samples_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// Folds one backend scheduler's counters in (workers call this once per
-  /// scheduler at exit — the counters are totals, not deltas).
+  /// Folds one backend scheduler's counters in (workers pass the growth
+  /// since their previous fold, after every completion).
   void AddSchedulerStats(const IoSchedulerStats& io) {
     io_requests_.fetch_add(io.requests, std::memory_order_relaxed);
     io_segments_.fetch_add(io.segments, std::memory_order_relaxed);

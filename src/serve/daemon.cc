@@ -38,9 +38,13 @@ std::string CanonicalPath(const std::string& path) {
   return path;
 }
 
-/// I/O workers in each stream's pipeline. Streams multiply them, and each
-/// worker already keeps the pipeline's default window of reads in flight.
-constexpr int kStreamIoThreads = 1;
+/// The executor's I/O workers, shared by every stream. Reads are
+/// submission-window driven, so a few workers keep every stream's window
+/// full; decode, not I/O, is what needs cores.
+constexpr int kExecutorIoThreads = 2;
+/// Reads each executor I/O worker keeps in flight across all streams: room
+/// for four streams' default windows at once.
+constexpr int kExecutorWindow = 16;
 
 uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -189,6 +193,12 @@ Result<std::unique_ptr<PcrDaemon>> PcrDaemon::Start(Env* env,
   }
   std::unique_ptr<PcrDaemon> daemon(new PcrDaemon(env, std::move(options)));
   PCR_RETURN_IF_ERROR(daemon->Listen());
+  LoaderPipelineOptions workers;
+  workers.io_threads = kExecutorIoThreads;
+  workers.io_inflight = kExecutorWindow;
+  workers.decode_threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  daemon->executor_ = std::make_shared<LoaderExecutor>(workers);
   daemon->accept_thread_ = std::thread([d = daemon.get()] { d->AcceptLoop(); });
   return daemon;
 }
@@ -272,7 +282,8 @@ void PcrDaemon::Stop() {
   // (wakes Acquire), sever every connection (unblocks serving threads
   // parked in send() against a stalled client and pops the readers out of
   // recv()), then tear the streams down — pipeline Stop() unblocks any
-  // thread still inside Next(), so the joins below are bounded.
+  // thread still inside Next(), so the joins below are bounded — and shut
+  // the executor's workers down behind them.
   scheduler_.Shutdown();
   std::vector<std::shared_ptr<Connection>> conns;
   {
@@ -289,6 +300,7 @@ void PcrDaemon::Stop() {
     for (const auto& [id, stream] : streams_) ids.push_back(id);
   }
   for (uint64_t id : ids) TeardownStream(id);
+  if (executor_ != nullptr) executor_->Shutdown();
   for (const auto& conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
     ::close(conn->fd);  // Readers leave the fd open; the remover closes it.
@@ -471,8 +483,6 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
              static_cast<uint32_t>(options_.max_inflight_per_stream)));
 
   LoaderPipelineOptions pipe;
-  pipe.io_threads = kStreamIoThreads;
-  pipe.decode_threads = options_.decode_threads;
   pipe.decode = req->decode;
   pipe.max_epochs = static_cast<int>(req->max_epochs);
   pipe.shuffle = req->shuffle;
@@ -515,7 +525,7 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
     return;
   }
   stream->pipeline = std::make_unique<LoaderPipeline>(
-      (*dataset)->dataset.get(), pipe);
+      (*dataset)->dataset.get(), pipe, executor_);
 
   // Shm data plane: decoded streams only (the compressed plane's JPEG bytes
   // are small and variable — the socket serves them fine), and only when

@@ -3,16 +3,21 @@
 // DecodeCache and PrefixCache), feeding many trainer clients over a
 // unix-domain socket speaking the serve/protocol.h frame protocol.
 //
-// Resource model per client stream:
+// Resource model:
 //
-//   - Each OpenStream admits (or rejects — admission control) one stream
-//     backed by its OWN LoaderPipeline: private epoch/shuffle/scan-group
-//     state, but the shared caches underneath. Two clients streaming the
-//     same dataset therefore share decoded entries: the daemon derives the
-//     cache namespace server-side from (canonical path, manifest
-//     fingerprint), so the same dataset + writer generation maps to the
-//     same id regardless of which client opened it first, and a rewritten
-//     dataset gets a fresh id instead of colliding with stale entries.
+//   - One LoaderExecutor per daemon owns every loader worker: a fixed set
+//     of I/O workers and one decode worker per hardware thread. Each
+//     OpenStream admits (or rejects — admission control) one stream, a
+//     LoaderPipeline attached to that executor: private epoch/shuffle/
+//     scan-group state and output queue, but shared workers and shared
+//     caches underneath. The executor issues tickets round-robin over the
+//     streams with credit, so a stream whose client stops asking cannot
+//     stall the others. Two clients streaming the same dataset share
+//     decoded entries: the daemon derives the cache namespace server-side
+//     from (canonical path, manifest fingerprint), so the same dataset +
+//     writer generation maps to the same id regardless of which client
+//     opened it first, and a rewritten dataset gets a fresh id instead of
+//     colliding with stale entries.
 //   - Admission control: at most `max_streams` live streams, at most
 //     `max_inflight_per_stream` queued NextBatch requests per stream
 //     (excess requests get ResourceExhausted instead of unbounded daemon
@@ -27,10 +32,12 @@
 //     one.
 //
 // Threading: one accept thread, one reader thread per connection
-// (demultiplexing Hello/OpenStream/NextBatch/Stats/Close), one serving
-// thread per stream (NextBatch queue -> DRR -> pipeline -> reply). Stop()
-// is bounded even with clients blocked in NextBatch: it shuts the sockets
-// down and stops every pipeline, which unblocks the serving threads.
+// (demultiplexing Hello/OpenStream/NextBatch/Stats/Close), the executor's
+// I/O and decode workers, and one serving thread per stream (NextBatch
+// queue -> DRR -> pipeline -> reply) — a stream costs one thread. Stop() is
+// bounded even with clients blocked in NextBatch: it shuts the sockets
+// down and stops every pipeline, which unblocks the serving threads, then
+// shuts the executor down.
 #pragma once
 
 #include <atomic>
@@ -78,9 +85,6 @@ struct DaemonOptions {
   // Shared caches (one of each per daemon).
   uint64_t decode_cache_bytes = 256ull << 20;
   uint64_t prefix_cache_bytes = 64ull << 20;
-
-  /// Decode workers in each stream's pipeline.
-  int decode_threads = 2;
 
   // Shared-memory data plane (decoded streams only; negotiated per stream).
   /// Offer the shm plane to capable clients that ask for it.
@@ -216,6 +220,8 @@ class PcrDaemon {
   DaemonOptions options_;
   std::shared_ptr<DecodeCache> decode_cache_;
   std::shared_ptr<PrefixCache> prefix_cache_;
+  /// The loader workers every stream's pipeline runs on (built in Start).
+  std::shared_ptr<LoaderExecutor> executor_;
   DrrScheduler scheduler_;
 
   int listen_fd_ = -1;

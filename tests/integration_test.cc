@@ -190,7 +190,6 @@ TEST_F(IntegrationTest, PipelineDeliversBatchesAndAccountsBothStages) {
   LoaderPipelineOptions options;
   options.io_threads = 2;
   options.decode_threads = 2;
-  options.fetch_queue_depth = 4;
   options.output_queue_depth = 4;
   options.scan_policy = std::make_shared<FixedScanPolicy>(1);
   LoaderPipeline pipeline(ds.get(), options);

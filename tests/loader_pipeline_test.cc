@@ -1,22 +1,30 @@
 // Tests for the staged LoaderPipeline: stage-stats accounting, Status
 // propagation from the I/O and decode stages, shutdown with full and empty
 // queues, end-of-stream epoch semantics, and shuffle determinism (every
-// record delivered exactly once per epoch regardless of thread count).
+// record delivered exactly once per epoch regardless of thread count). The
+// LoaderExecutor cases run several streams on one shared executor: mixed
+// decoded and compressed streams, an idle consumer, stalled storage, and a
+// source call blocked across Stop().
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <utility>
 
+#include "core/pcr_dataset.h"
 #include "core/sharded_record_source.h"
 #include "image/image.h"
 #include "jpeg/codec.h"
 #include "loader/decode_cache.h"
 #include "loader/pipeline.h"
+#include "storage/fault_env.h"
 #include "storage/sim_env.h"
 #include "util/logging.h"
 
@@ -153,7 +161,6 @@ TEST(LoaderPipelineTest, DeliversEveryRecordExactlyOncePerEpoch) {
   LoaderPipelineOptions options;
   options.io_threads = 8;
   options.decode_threads = 8;
-  options.fetch_queue_depth = 4;
   options.output_queue_depth = 4;
   options.shuffle = true;
   options.max_epochs = 2;
@@ -292,10 +299,9 @@ TEST(LoaderPipelineTest, StopWithFullQueuesDoesNotHang) {
   LoaderPipelineOptions options;
   options.io_threads = 4;
   options.decode_threads = 4;
-  options.fetch_queue_depth = 1;
   options.output_queue_depth = 1;
   LoaderPipeline pipeline(&source, options);
-  // Consume nothing: both queues fill and every worker blocks on a push.
+  // Consume nothing: the stream's credit runs out and every worker parks.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   pipeline.Stop();
   auto batch = pipeline.Next();
@@ -356,7 +362,6 @@ TEST(LoaderPipelineTest, StopEndsTheStreamAbortedWithAHealthyStatus) {
   LoaderPipelineOptions options;
   options.io_threads = 2;
   options.decode_threads = 2;
-  options.fetch_queue_depth = 4;
   options.output_queue_depth = 4;
   options.scan_policy = std::make_shared<FixedScanPolicy>(1);
   LoaderPipeline pipeline(&source, options);
@@ -538,7 +543,6 @@ TEST(LoaderPipelineTest, SetScanPolicySwitchesLiveStream) {
   LoaderPipelineOptions options;
   options.io_threads = 1;  // Small pipeline: the swap surfaces quickly.
   options.decode_threads = 1;
-  options.fetch_queue_depth = 1;
   options.output_queue_depth = 1;
   options.max_epochs = 4;
   options.scan_policy = std::make_shared<FixedScanPolicy>(1);
@@ -618,7 +622,6 @@ TEST(LoaderPipelineTest, AsyncWindowDeliversExactlyOncePerEpoch) {
   options.io_threads = 8;
   options.io_inflight = 8;
   options.decode_threads = 4;
-  options.fetch_queue_depth = 4;
   options.output_queue_depth = 4;
   options.shuffle = true;
   options.max_epochs = 2;
@@ -793,7 +796,7 @@ TEST(LoaderPipelineTest, PrivatePrefixCacheTurnsEpochTwoIntoZeroIo) {
   LoaderPipelineOptions options;
   options.io_threads = 1;  // Serial I/O: epoch 2 cannot outrun the inserts.
   options.io_inflight = 1;
-  options.fetch_queue_depth = 1;
+  options.output_queue_depth = 1;
   options.max_epochs = 2;
   options.shuffle = false;
   options.prefix_cache_bytes = 16ull << 20;  // Private per-pipeline cache.
@@ -855,6 +858,233 @@ TEST(LoaderPipelineTest, PrefetchErrorReplacesGenericAbort) {
   EXPECT_NE(batch.status().message().find("injected fetch failure"),
             std::string::npos)
       << batch.status();
+}
+
+// ------------------------------------------------------- LoaderExecutor
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Drains `pipeline` to its end, counting deliveries per record.
+Status DrainCounting(LoaderPipeline* pipeline, std::map<int, int>* deliveries,
+                     bool decode) {
+  for (;;) {
+    auto batch = pipeline->Next();
+    if (!batch.ok()) return batch.status();
+    EXPECT_EQ(batch->images.empty(), !decode);
+    EXPECT_EQ(batch->jpeg_backing.empty(), decode);
+    ++(*deliveries)[batch->record_index];
+  }
+}
+
+TEST(LoaderExecutorTest, DecodedAndCompressedStreamsShareOneExecutor) {
+  FakeSource decoded_source(20, 2);
+  FakeSource compressed_source(13, 3);
+  LoaderPipelineOptions workers;
+  workers.io_threads = 2;
+  workers.io_inflight = 8;
+  workers.decode_threads = 3;
+  auto executor = std::make_shared<LoaderExecutor>(workers);
+
+  constexpr int kEpochs = 3;
+  LoaderPipelineOptions options;
+  options.max_epochs = kEpochs;
+  options.seed = 1;
+  LoaderPipeline decoded(&decoded_source, options, executor);
+  options.decode = false;
+  options.seed = 2;
+  LoaderPipeline compressed(&compressed_source, options, executor);
+
+  std::map<int, int> decoded_seen;
+  std::map<int, int> compressed_seen;
+  Status decoded_end;
+  std::thread other([&] {
+    decoded_end = DrainCounting(&decoded, &decoded_seen, /*decode=*/true);
+  });
+  const Status compressed_end =
+      DrainCounting(&compressed, &compressed_seen, /*decode=*/false);
+  other.join();
+
+  EXPECT_EQ(decoded_end.code(), StatusCode::kOutOfRange) << decoded_end;
+  EXPECT_EQ(compressed_end.code(), StatusCode::kOutOfRange) << compressed_end;
+  ASSERT_EQ(decoded_seen.size(), 20u);
+  for (const auto& [record, count] : decoded_seen) {
+    EXPECT_EQ(count, kEpochs) << "decoded record " << record;
+  }
+  ASSERT_EQ(compressed_seen.size(), 13u);
+  for (const auto& [record, count] : compressed_seen) {
+    EXPECT_EQ(count, kEpochs) << "compressed record " << record;
+  }
+  // Per-stream counters stay per stream; the workers are the executor's.
+  EXPECT_EQ(decoded.io_stats().items, 20 * kEpochs);
+  EXPECT_EQ(compressed.io_stats().items, 13 * kEpochs);
+  EXPECT_EQ(decoded.decode_stats().items, 20 * kEpochs);
+  EXPECT_EQ(compressed.io_stats().threads, 2);
+  EXPECT_EQ(compressed.decode_stats().threads, 3);
+}
+
+TEST(LoaderExecutorTest, IdleConsumerDoesNotDelayOtherStreams) {
+  // One I/O and one decode worker: if the idle stream's batches could block
+  // either of them, the busy stream would never finish.
+  FakeSource idle_source(64, 1);
+  FakeSource busy_source(24, 1);
+  LoaderPipelineOptions workers;
+  workers.io_threads = 1;
+  workers.decode_threads = 1;
+  auto executor = std::make_shared<LoaderExecutor>(workers);
+
+  LoaderPipelineOptions idle_options;
+  idle_options.output_queue_depth = 2;
+  LoaderPipeline idle(&idle_source, idle_options, executor);  // Never read.
+  LoaderPipelineOptions busy_options;
+  busy_options.max_epochs = 3;
+  LoaderPipeline busy(&busy_source, busy_options, executor);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::map<int, int> seen;
+  const Status end = DrainCounting(&busy, &seen, /*decode=*/true);
+  EXPECT_EQ(end.code(), StatusCode::kOutOfRange) << end;
+  EXPECT_LT(SecondsSince(start), 10.0);
+  ASSERT_EQ(seen.size(), 24u);
+  for (const auto& [record, count] : seen) EXPECT_EQ(count, 3);
+
+  // The idle stream took no more tickets than its credit, which its output
+  // queue is sized to.
+  const StageStatsSnapshot idle_io = idle.io_stats();
+  EXPECT_GT(idle_io.items, 0);
+  EXPECT_LE(static_cast<size_t>(idle_io.items),
+            idle.decode_stats().queue_capacity);
+  EXPECT_EQ(idle.batches_delivered(), 0);
+}
+
+/// Writes a PCR dataset of `num_images` test JPEGs into env:dir.
+void WritePcrDataset(Env* env, const std::string& dir, int num_images) {
+  PcrWriterOptions options;
+  options.images_per_record = 2;
+  auto writer = PcrDatasetWriter::Create(env, dir, options).MoveValue();
+  const std::string jpeg = MakeTestJpeg();
+  for (int i = 0; i < num_images; ++i) {
+    ASSERT_TRUE(writer->AddImage(Slice(jpeg), i).ok());
+  }
+  ASSERT_TRUE(writer->Finish().ok());
+}
+
+TEST(LoaderExecutorTest, StalledStreamStopsPromptlyAndSparesOthers) {
+  SimEnv base(DeviceProfile::Ram(), RealClock::Get());
+  WritePcrDataset(&base, "stalled", 16);
+  WritePcrDataset(&base, "healthy", 16);
+  FaultRule stall;  // Every record read of the stalled dataset: 5 s late.
+  stall.path_substring = "stalled/record-";
+  stall.fail_first_n = 1'000'000;
+  stall.code = StatusCode::kOk;
+  stall.added_latency_sec = 5.0;
+  FaultInjectionEnv faulty(&base, {stall});
+  auto stalled_source = PcrDataset::Open(&faulty, "stalled").MoveValue();
+  auto healthy_source = PcrDataset::Open(&faulty, "healthy").MoveValue();
+
+  LoaderPipelineOptions workers;
+  workers.io_threads = 1;
+  workers.io_inflight = 4;
+  workers.decode_threads = 2;
+  auto executor = std::make_shared<LoaderExecutor>(workers);
+  LoaderPipelineOptions options;
+  options.io_inflight = 2;  // Half of the one worker's window each.
+  options.max_epochs = 2;
+  auto stalled = std::make_unique<LoaderPipeline>(stalled_source.get(),
+                                                  options, executor);
+  auto healthy = std::make_unique<LoaderPipeline>(healthy_source.get(),
+                                                  options, executor);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::map<int, int> seen;
+  const Status end = DrainCounting(healthy.get(), &seen, /*decode=*/true);
+  EXPECT_EQ(end.code(), StatusCode::kOutOfRange) << end;
+  EXPECT_EQ(seen.size(), 8u);
+  EXPECT_LT(SecondsSince(start), 4.0) << "waited out the stalled reads";
+  EXPECT_EQ(stalled->batches_delivered(), 0);
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  stalled->Stop();
+  EXPECT_LT(SecondsSince(stop_start), 1.0);
+  auto stopped = stalled->Next();
+  EXPECT_EQ(stopped.status().code(), StatusCode::kAborted) << stopped.status();
+
+  const auto teardown_start = std::chrono::steady_clock::now();
+  stalled.reset();
+  healthy.reset();
+  executor.reset();  // Abandons the stalled reads still in flight.
+  EXPECT_LT(SecondsSince(teardown_start), 2.0);
+}
+
+/// A FakeSource whose first AssembleRecord blocks until Release().
+class LatchedSource : public FakeSource {
+ public:
+  using FakeSource::FakeSource;
+
+  Result<RecordBatch> AssembleRecord(RawRecord raw) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (entered_++ == 0) {
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+    }
+    return FakeSource::AssembleRecord(std::move(raw));
+  }
+
+  void AwaitBlocked() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ > 0; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int entered_ = 0;
+  bool released_ = false;
+};
+
+TEST(LoaderExecutorTest, StopWaitsOutABlockedSourceCall) {
+  LatchedSource latched(16, 1);
+  FakeSource other_source(16, 1);
+  LoaderPipelineOptions workers;
+  workers.io_threads = 1;
+  workers.decode_threads = 2;
+  auto executor = std::make_shared<LoaderExecutor>(workers);
+  LoaderPipeline blocked(&latched, LoaderPipelineOptions(), executor);
+  LoaderPipeline other(&other_source, LoaderPipelineOptions(), executor);
+
+  latched.AwaitBlocked();
+  std::atomic<bool> released{false};
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    blocked.Stop();
+    EXPECT_TRUE(released.load()) << "Stop() returned inside a source call";
+    stopped.store(true);
+  });
+  // The other stream keeps delivering on the second decode worker while
+  // Stop() waits out the blocked call.
+  for (int i = 0; i < 40; ++i) {
+    auto batch = other.Next();
+    ASSERT_TRUE(batch.ok()) << batch.status();
+  }
+  EXPECT_FALSE(stopped.load());
+  released.store(true);
+  latched.Release();
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
+  auto batch = blocked.Next();
+  while (batch.ok()) batch = blocked.Next();
+  EXPECT_EQ(batch.status().code(), StatusCode::kAborted) << batch.status();
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -642,6 +643,9 @@ TEST_F(ServeDaemonTest, MultiClientHammer) {
       open.shm_plane = open.decode;  // and shm + socket data planes.
       auto stream = client->OpenStream(open).MoveValue();
       int images = 0;
+      // The streams' tickets interleave on the daemon's one executor; each
+      // stream still sees every record exactly once per epoch.
+      std::map<int64_t, int> deliveries;
       for (;;) {
         auto batch = client->NextBatch(stream.stream_id);
         if (!batch.ok()) {
@@ -651,14 +655,54 @@ TEST_F(ServeDaemonTest, MultiClientHammer) {
         if (batch->end_of_stream) break;
         images += static_cast<int>(batch->images.size() +
                                    batch->jpegs.size());
+        ++deliveries[batch->record_index];
       }
       if (images != 16 * kEpochs) failures.fetch_add(1);
+      if (deliveries.size() != stream.num_records) failures.fetch_add(1);
+      for (const auto& [record, count] : deliveries) {
+        if (count != kEpochs) failures.fetch_add(1);
+      }
       client->GetStats(stream.stream_id).MoveValue();
       client->CloseStream(stream.stream_id).MoveValue();
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST_F(ServeDaemonTest, StreamsCostOneThreadEach) {
+  if (!RequireInternalDaemon()) {
+    GTEST_SKIP() << "counts the in-process daemon's threads";
+  }
+  auto client = PcrClient::Connect(Socket(), "thread-count").MoveValue();
+  auto count_threads = [] {
+    int threads = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++threads;
+    }
+    return threads;
+  };
+  OpenStreamRequest open;
+  open.dataset_dir = dataset_dir_;
+  open.max_epochs = 1;
+  open.shuffle = false;
+  // The first stream reads the whole epoch, so the later streams' batches
+  // come from the caches: no read starts an I/O service thread mid-count.
+  auto first = client->OpenStream(open).MoveValue();
+  for (uint32_t k = 0; k < first.num_records; ++k) {
+    ASSERT_FALSE(client->NextBatch(first.stream_id).MoveValue().end_of_stream);
+  }
+  const int with_one = count_threads();
+  for (int i = 1; i < 8; ++i) {
+    auto stream = client->OpenStream(open).MoveValue();
+    ASSERT_FALSE(
+        client->NextBatch(stream.stream_id).MoveValue().end_of_stream);
+  }
+  const int with_eight = count_threads();
+  EXPECT_LE(with_eight - with_one, 7)
+      << with_one << " threads with 1 stream, " << with_eight << " with 8";
 }
 
 // --- Shared-memory data plane ----------------------------------------------

@@ -15,7 +15,6 @@
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 
 namespace pcr {
 namespace {
@@ -280,27 +279,6 @@ TEST(BoundedQueue, ProducerConsumerStress) {
   producer.join();
   for (auto& t : consumers) t.join();
   EXPECT_EQ(sum.load(), static_cast<int64_t>(kItems) * (kItems + 1) / 2);
-}
-
-// ------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { count++; });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ShutdownDrains) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.Submit([&] { count++; });
-  }  // Destructor shuts down.
-  EXPECT_EQ(count.load(), 50);
 }
 
 // ------------------------------------------------------------- Stats

@@ -1,6 +1,10 @@
 #include "core/pcr_dataset.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <system_error>
+#include <thread>
 
 #include "jpeg/codec.h"
 #include "jpeg/scan_parser.h"
@@ -51,32 +55,14 @@ Result<std::unique_ptr<PcrDatasetWriter>> PcrDatasetWriter::Create(
 
 Status PcrDatasetWriter::AddImage(Slice jpeg, int64_t label) {
   if (finished_) return Status::FailedPrecondition("writer already finished");
-
-  // Ensure progressive form ("Our implementation uses JPEGTRAN to losslessly
-  // transform JPEG images into progressive JPEG images").
-  std::string progressive;
+  PCR_RETURN_IF_ERROR(status_);
   PCR_ASSIGN_OR_RETURN(auto index, jpeg::IndexScans(jpeg));
-  if (!index.progressive) {
-    if (!options_.transcode_to_progressive) {
-      return Status::InvalidArgument(
-          "baseline input with transcoding disabled");
-    }
-    PCR_ASSIGN_OR_RETURN(progressive, jpeg::TranscodeToProgressive(jpeg));
-    PCR_ASSIGN_OR_RETURN(index, jpeg::IndexScans(progressive));
-    jpeg = Slice(progressive);
+  if (!index.progressive && !options_.transcode_to_progressive) {
+    return Status::InvalidArgument("baseline input with transcoding disabled");
   }
-
   StagedImage staged;
   staged.label = label;
-  staged.jpeg_header = std::string(jpeg.data(), index.header_end);
-  staged.scans.resize(options_.num_scan_groups);
-  const int num_scans = static_cast<int>(index.scans.size());
-  for (int s = 0; s < num_scans; ++s) {
-    // Surplus scans merge into the last group; missing groups stay empty.
-    const int group = std::min(s, options_.num_scan_groups - 1);
-    staged.scans[group].append(jpeg.data() + index.scans[s].start,
-                               index.scans[s].size());
-  }
+  staged.bytes = jpeg.ToString();
   staged_.push_back(std::move(staged));
   ++images_added_;
 
@@ -86,9 +72,79 @@ Status PcrDatasetWriter::AddImage(Slice jpeg, int64_t label) {
   return Status::OK();
 }
 
-Status PcrDatasetWriter::FlushRecord() {
-  if (staged_.empty()) return Status::OK();
+namespace {
 
+// Ensures progressive form ("Our implementation uses JPEGTRAN to losslessly
+// transform JPEG images into progressive JPEG images"), then compacts the
+// image in place to its header followed by every scan in order. Scan s goes
+// to group s; surplus scans merge into the last group, missing groups stay
+// empty.
+Status SplitIntoScanGroups(int num_groups, std::string* bytes,
+                           size_t* header_size,
+                           std::vector<uint64_t>* group_sizes) {
+  PCR_ASSIGN_OR_RETURN(auto index, jpeg::IndexScans(*bytes));
+  if (!index.progressive) {
+    PCR_ASSIGN_OR_RETURN(std::string progressive,
+                         jpeg::TranscodeToProgressive(*bytes));
+    PCR_ASSIGN_OR_RETURN(index, jpeg::IndexScans(progressive));
+    bytes->assign(progressive);  // Reuses the staged buffer when it fits.
+  }
+  // Scans only move towards the front, so the compaction runs in place.
+  size_t end = index.header_end;
+  group_sizes->assign(num_groups, 0);
+  for (size_t s = 0; s < index.scans.size(); ++s) {
+    const jpeg::ScanRange& scan = index.scans[s];
+    std::memmove(bytes->data() + end, bytes->data() + scan.start,
+                 scan.size());
+    end += scan.size();
+    (*group_sizes)[std::min<size_t>(s, num_groups - 1)] += scan.size();
+  }
+  bytes->resize(end);
+  *header_size = index.header_end;
+  return Status::OK();
+}
+
+}  // namespace
+
+Status PcrDatasetWriter::FlushRecord() {
+  PCR_RETURN_IF_ERROR(status_);
+  if (staged_.empty()) return Status::OK();
+  status_ = SplitStaged();
+  if (status_.ok()) status_ = WriteRecord();
+  return status_;
+}
+
+Status PcrDatasetWriter::SplitStaged() {
+  // Workers claim images from one counter; the calling thread is one of
+  // them. Each image's result lands in its own slot, so the output and the
+  // returned error (the lowest failing index) do not depend on scheduling.
+  const size_t n = staged_.size();
+  std::vector<Status> statuses(n);
+  std::atomic<size_t> next{0};
+  auto work = [&] {
+    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      StagedImage& image = staged_[i];
+      statuses[i] = SplitIntoScanGroups(options_.num_scan_groups, &image.bytes,
+                                        &image.header_size,
+                                        &image.group_sizes);
+    }
+  };
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<std::thread> helpers;
+  for (size_t t = 1; t < std::min(cores, n); ++t) {
+    try {
+      helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // Out of threads: those started, and this one, share the work.
+    }
+  }
+  work();
+  for (std::thread& helper : helpers) helper.join();
+  for (Status& status : statuses) PCR_RETURN_IF_ERROR(status);
+  return Status::OK();
+}
+
+Status PcrDatasetWriter::WriteRecord() {
   PcrHeader header;
   header.num_images = static_cast<int>(staged_.size());
   header.num_groups = options_.num_scan_groups;
@@ -96,9 +152,10 @@ Status PcrDatasetWriter::FlushRecord() {
                             std::vector<uint64_t>(staged_.size(), 0));
   for (size_t i = 0; i < staged_.size(); ++i) {
     header.labels.push_back(staged_[i].label);
-    header.jpeg_headers.push_back(staged_[i].jpeg_header);
+    header.jpeg_headers.emplace_back(staged_[i].bytes.data(),
+                                     staged_[i].header_size);
     for (int g = 0; g < options_.num_scan_groups; ++g) {
-      header.group_sizes[g][i] = staged_[i].scans[g].size();
+      header.group_sizes[g][i] = staged_[i].group_sizes[g];
     }
   }
 
@@ -108,9 +165,14 @@ Status PcrDatasetWriter::FlushRecord() {
   PCR_ASSIGN_OR_RETURN(auto file, env_->NewWritableFile(path));
   PCR_RETURN_IF_ERROR(file->Append(header_bytes));
   // Scan groups in quality order, each holding every image's delta.
+  std::vector<size_t> offsets;
+  for (const auto& staged : staged_) offsets.push_back(staged.header_size);
   for (int g = 0; g < options_.num_scan_groups; ++g) {
-    for (const auto& staged : staged_) {
-      PCR_RETURN_IF_ERROR(file->Append(staged.scans[g]));
+    for (size_t i = 0; i < staged_.size(); ++i) {
+      const uint64_t size = staged_[i].group_sizes[g];
+      PCR_RETURN_IF_ERROR(
+          file->Append(Slice(staged_[i].bytes.data() + offsets[i], size)));
+      offsets[i] += size;
     }
   }
   PCR_RETURN_IF_ERROR(file->Close());

@@ -31,13 +31,34 @@ struct PcrWriterOptions {
 ///   auto writer = PcrDatasetWriter::Create(env, "/data/train", {}).
 ///   for (...) writer->AddImage(jpeg_bytes, label);
 ///   writer->Finish();
+///
+/// Threading. AddImage only indexes the input's markers (so input that does
+/// not parse is rejected by its own call) and stages a copy of the bytes:
+/// the caller's Slice may die as soon as it returns. The AddImage that fills
+/// a record, and Finish for the trailing partial one, transcode the staged
+/// images (the paper's lossless JPEGTRAN step) and split them into scan
+/// groups on up to hardware_concurrency() threads: the calling thread plus
+/// helpers spawned for that flush and joined before any byte is written.
+/// The record file and its manifest entry are then written on the calling
+/// thread, in input order, so the output is byte-identical to a serial
+/// transcode and every Env call comes from the caller. No thread outlives a
+/// flush; destroying a writer without Finish drops the staged images.
+/// A writer is not safe for concurrent calls.
+///
+/// Errors. A transcode failure is returned by the AddImage that fills its
+/// record, or by Finish: with several in one record, the one with the lowest
+/// input index. A failed flush (transcode or write) is never partly
+/// recorded: the record's manifest entry is not written, a transcode
+/// failure leaves no record file, and earlier records stay as they are. The
+/// writer then stays failed: later AddImage and Finish calls return the
+/// same status.
 class PcrDatasetWriter {
  public:
   static Result<std::unique_ptr<PcrDatasetWriter>> Create(
       Env* env, const std::string& dir, const PcrWriterOptions& options);
 
-  /// Adds one image. `jpeg` may be baseline (transcoded internally, like the
-  /// paper's JPEGTRAN step) or already progressive.
+  /// Stages one image. `jpeg` may be baseline (transcoded when its record is
+  /// flushed) or already progressive.
   Status AddImage(Slice jpeg, int64_t label);
 
   /// Flushes the trailing partial record and commits the metadata DB.
@@ -49,23 +70,31 @@ class PcrDatasetWriter {
  private:
   PcrDatasetWriter(Env* env, std::string dir, PcrWriterOptions options);
 
+  // Transcodes and splits the staged images, then writes them as one record.
+  // A failure sticks in status_.
   Status FlushRecord();
+  Status SplitStaged();
+  Status WriteRecord();
 
   Env* env_;
   std::string dir_;
   PcrWriterOptions options_;
   std::unique_ptr<KvStore> db_;
 
-  // Staged images for the record being built.
+  // Staged images for the record being built. `bytes` holds the input
+  // until the flush rewrites it, in the same buffer, as the progressive
+  // JPEG header followed by each scan group's bytes in group order.
   struct StagedImage {
     int64_t label = 0;
-    std::string jpeg_header;
-    std::vector<std::string> scans;  // One per scan group.
+    std::string bytes;
+    size_t header_size = 0;
+    std::vector<uint64_t> group_sizes;
   };
   std::vector<StagedImage> staged_;
   int images_added_ = 0;
   int records_written_ = 0;
   bool finished_ = false;
+  Status status_;
 };
 
 /// Read side: opens the metadata DB once, then serves partial record reads.

@@ -95,13 +95,9 @@ Result<BuiltDataset> BuildSyntheticDataset(Env* env, const std::string& root,
   for (int i = 0; i < spec.num_images; ++i) {
     const int label = ClassForImage(spec, i);
     const Image img = GenerateImage(spec, label, spec.seed * 100000 + i);
-    const double t_enc = NowSec();
     PCR_ASSIGN_OR_RETURN(std::string jpeg, jpeg::Encode(img, encode_options));
-    built.jpeg_encode_seconds += NowSec() - t_enc;
     if (pcr_writer != nullptr) {
-      const double t_tr = NowSec();
       PCR_RETURN_IF_ERROR(pcr_writer->AddImage(Slice(jpeg), label));
-      built.transcode_seconds += NowSec() - t_tr;
     }
     if (record_writer != nullptr) {
       PCR_RETURN_IF_ERROR(record_writer->AddImage(Slice(jpeg), label));

@@ -25,8 +25,6 @@ struct BuiltDataset {
   std::string record_dir;         // root + "/record"
   std::string file_per_image_dir; // root + "/fpi"
   double build_seconds = 0.0;     // 0 when served from cache.
-  double jpeg_encode_seconds = 0.0;
-  double transcode_seconds = 0.0;
 };
 
 /// Generates images per `spec`, encodes them as baseline JPEG at the spec's

@@ -3,14 +3,12 @@
 // consumer).
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "util/logging.h"
 
@@ -58,31 +56,6 @@ class BoundedQueue {
     lock.unlock();
     not_full_.notify_one();
     return item;
-  }
-
-  /// Pops up to `max_n` items with a single lock acquisition, appending
-  /// them (FIFO) to *out. Blocks until at least one item is available or
-  /// the queue is closed and drained. Returns the number popped (0 means
-  /// closed-and-drained). Cuts lock/notify churn for consumers that can
-  /// process small items in batches.
-  size_t PopMany(size_t max_n, std::vector<T>* out) {
-    if (max_n == 0) return 0;
-    size_t popped;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-      popped = std::min(max_n, items_.size());
-      for (size_t i = 0; i < popped; ++i) {
-        out->push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
-    }
-    if (popped > 1) {
-      not_full_.notify_all();  // Several slots freed at once.
-    } else if (popped == 1) {
-      not_full_.notify_one();
-    }
-    return popped;
   }
 
   /// Pop with a deadline: blocks up to `timeout_nanos` for an item. Returns

@@ -3,14 +3,19 @@
 // (property-style over several record/image shapes).
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/file_per_image.h"
 #include "core/pcr_dataset.h"
 #include "core/pcr_format.h"
 #include "core/record_dataset.h"
 #include "data/dataset_spec.h"
 #include "jpeg/codec.h"
+#include "jpeg/scan_parser.h"
 #include "storage/sim_env.h"
+#include "util/crc32c.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace pcr {
 namespace {
@@ -195,6 +200,272 @@ TEST(PcrDatasetWriter, FullRangeCoefficientsStayReadable) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------- Writer bytes
+
+// CRC32C over a sequence of files, each prefixed by its length so that bytes
+// moving across a file boundary still change the digest.
+class FileDigest {
+ public:
+  void Add(const std::string& bytes) {
+    const uint64_t n = bytes.size();
+    crc_ = crc32c::Extend(crc_, &n, sizeof(n));
+    crc_ = crc32c::Extend(crc_, bytes.data(), bytes.size());
+  }
+  uint32_t value() const { return crc_; }
+
+ private:
+  uint32_t crc_ = 0;
+};
+
+// Baseline inputs (transcoded by the writer) interleaved with progressive
+// ones (split as they are), in four shapes.
+std::vector<std::string> MixedInputs(int n) {
+  std::vector<std::string> inputs;
+  for (int i = 0; i < n; ++i) {
+    inputs.push_back(MakeJpeg(40 + 16 * (i % 4), 32 + 8 * (i % 3), 100 + i,
+                              /*progressive=*/i % 3 == 2));
+  }
+  return inputs;
+}
+
+// The writer's output is pinned byte for byte: every .pcr file, in record
+// order, and the manifest log. The digests were recorded from the serial
+// writer that transcoded inside AddImage; staging inputs and transcoding a
+// record's images in parallel at flush must reproduce them unchanged.
+TEST(PcrDatasetWriter, OutputIsByteStable) {
+  struct Case {
+    int images_per_record;
+    int records;
+    uint32_t records_crc;
+    uint32_t manifest_crc;
+  };
+  const Case cases[] = {
+      {1, 11, 0x774ee0e4u, 0x94538ef1u},
+      {3, 4, 0x4421b1cau, 0x0fc27debu},   // 3 + 3 + 3 + 2.
+      {64, 1, 0x1605d573u, 0xbb3e27a8u},  // One partial record.
+  };
+  const std::vector<std::string> inputs = MixedInputs(11);
+  for (const Case& c : cases) {
+    VirtualClock clock;
+    SimEnv env(DeviceProfile::Ram(), &clock);
+    PcrWriterOptions options;
+    options.images_per_record = c.images_per_record;
+    auto writer = PcrDatasetWriter::Create(&env, "ds", options).MoveValue();
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ASSERT_TRUE(writer->AddImage(Slice(inputs[i]), i % 7).ok());
+    }
+    ASSERT_TRUE(writer->Finish().ok());
+    ASSERT_EQ(writer->records_written(), c.records);
+
+    FileDigest records;
+    for (int r = 0; r < c.records; ++r) {
+      std::string bytes;
+      ASSERT_TRUE(env.ReadFileToString(
+                         StrFormat("ds/record-%06d.pcr", r), &bytes)
+                      .ok());
+      records.Add(bytes);
+    }
+    std::string manifest;
+    ASSERT_TRUE(env.ReadFileToString("ds/metadata.kvlog", &manifest).ok());
+    FileDigest manifest_digest;
+    manifest_digest.Add(manifest);
+    EXPECT_EQ(records.value(), c.records_crc)
+        << "images_per_record " << c.images_per_record;
+    EXPECT_EQ(manifest_digest.value(), c.manifest_crc)
+        << "images_per_record " << c.images_per_record;
+  }
+}
+
+// ------------------------------------------------------------- Writer errors
+
+// Offset of the first SOS marker's entropy-coded data.
+size_t EntropyStart(const std::string& jpeg) {
+  const size_t sos = jpeg.find("\xFF\xDA");
+  PCR_CHECK(sos != std::string::npos);
+  const size_t length = (static_cast<uint8_t>(jpeg[sos + 2]) << 8) |
+                        static_cast<uint8_t>(jpeg[sos + 3]);
+  return sos + 2 + length;
+}
+
+// A baseline JPEG whose markers and tables are intact but whose entropy
+// data reads as all one bits (0xFF with its stuffed zero), a prefix no
+// Huffman code has: IndexScans accepts it, the transcode's decode fails.
+std::string CorruptEntropy(std::string jpeg) {
+  const size_t end = jpeg::IndexScans(jpeg).MoveValue().scans[0].end;
+  for (size_t p = EntropyStart(jpeg); p < end; ++p) {
+    jpeg[p] = (p + 1 < end && (p - EntropyStart(jpeg)) % 2 == 0) ? '\xFF'
+                                                                 : '\0';
+  }
+  return jpeg;
+}
+
+// A baseline JPEG whose scan selects Huffman slot 3, which no DHT defines:
+// a different transcode error from CorruptEntropy's.
+std::string UndefinedTable(std::string jpeg) {
+  jpeg[jpeg.find("\xFF\xDA") + 6] = '\x33';  // First component's Td/Ta.
+  return jpeg;
+}
+
+TEST(PcrDatasetWriter, TranscodeErrorSurfacesWhenItsRecordFills) {
+  VirtualClock clock;
+  SimEnv env(DeviceProfile::Ram(), &clock);
+  PcrWriterOptions options;
+  options.images_per_record = 8;
+  auto writer = PcrDatasetWriter::Create(&env, "ds", options).MoveValue();
+  const std::vector<std::string> good = MixedInputs(8);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(writer->AddImage(Slice(good[i]), i).ok());
+  }
+  ASSERT_EQ(writer->records_written(), 1);
+  std::string record0;
+  ASSERT_TRUE(env.ReadFileToString("ds/record-000000.pcr", &record0).ok());
+
+  const std::string bad =
+      CorruptEntropy(MakeJpeg(48, 40, 50, /*progressive=*/false));
+  ASSERT_TRUE(jpeg::IndexScans(bad).ok());
+  const Status serial = jpeg::TranscodeToProgressive(bad).status();
+  ASSERT_FALSE(serial.ok());
+
+  // The 5th image is bad; the 8th AddImage runs the record's transcodes and
+  // returns the error the serial writer returned for it.
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(writer->AddImage(Slice(i == 4 ? bad : good[i]), i).ok()) << i;
+  }
+  EXPECT_EQ(writer->AddImage(Slice(good[7]), 7).ToString(),
+            serial.ToString());
+
+  // The writer stays failed; the failing record is never written, and the
+  // record before it is untouched.
+  EXPECT_EQ(writer->AddImage(Slice(good[0]), 0).ToString(),
+            serial.ToString());
+  EXPECT_EQ(writer->Finish().ToString(), serial.ToString());
+  EXPECT_EQ(writer->Finish().ToString(), serial.ToString());
+  EXPECT_EQ(writer->records_written(), 1);
+  EXPECT_FALSE(env.FileExists("ds/record-000001.pcr"));
+  std::string reread;
+  ASSERT_TRUE(env.ReadFileToString("ds/record-000000.pcr", &reread).ok());
+  EXPECT_EQ(reread, record0);
+}
+
+TEST(PcrDatasetWriter, TranscodeErrorAtFinishFailsIt) {
+  VirtualClock clock;
+  SimEnv env(DeviceProfile::Ram(), &clock);
+  auto writer =
+      PcrDatasetWriter::Create(&env, "ds", PcrWriterOptions{}).MoveValue();
+  const std::string bad =
+      CorruptEntropy(MakeJpeg(48, 40, 51, /*progressive=*/false));
+  ASSERT_TRUE(writer->AddImage(Slice(MakeJpeg(40, 32, 1, false)), 0).ok());
+  ASSERT_TRUE(writer->AddImage(Slice(bad), 1).ok());
+  const Status status = writer->Finish();
+  EXPECT_EQ(status.ToString(),
+            jpeg::TranscodeToProgressive(bad).status().ToString());
+  EXPECT_FALSE(env.FileExists("ds/record-000000.pcr"));
+  EXPECT_FALSE(PcrDataset::Open(&env, "ds").ok());
+}
+
+// With several bad images in one record, the lowest input index's error is
+// returned, whichever worker finishes first.
+TEST(PcrDatasetWriter, LowestIndexErrorWins) {
+  const std::string entropy =
+      CorruptEntropy(MakeJpeg(64, 48, 60, /*progressive=*/false));
+  const std::string table =
+      UndefinedTable(MakeJpeg(64, 48, 61, /*progressive=*/false));
+  const Status entropy_error = jpeg::TranscodeToProgressive(entropy).status();
+  const Status table_error = jpeg::TranscodeToProgressive(table).status();
+  ASSERT_FALSE(entropy_error.ok());
+  ASSERT_FALSE(table_error.ok());
+  ASSERT_NE(entropy_error.ToString(), table_error.ToString());
+
+  const std::vector<std::string> good = MixedInputs(8);
+  for (const bool entropy_first : {true, false}) {
+    VirtualClock clock;
+    SimEnv env(DeviceProfile::Ram(), &clock);
+    PcrWriterOptions options;
+    options.images_per_record = 8;
+    auto writer = PcrDatasetWriter::Create(&env, "ds", options).MoveValue();
+    Status last;
+    for (int i = 0; i < 8; ++i) {
+      Slice input(good[i]);
+      if (i == 2) input = Slice(entropy_first ? entropy : table);
+      if (i == 6) input = Slice(entropy_first ? table : entropy);
+      last = writer->AddImage(input, i);
+    }
+    EXPECT_EQ(last.ToString(), (entropy_first ? entropy_error : table_error)
+                                   .ToString());
+  }
+}
+
+// Input that does not parse is rejected by its own AddImage, is not staged,
+// and does not fail the writer.
+TEST(PcrDatasetWriter, GarbageFailsAtItsOwnAddImage) {
+  VirtualClock clock;
+  SimEnv env(DeviceProfile::Ram(), &clock);
+  PcrWriterOptions options;
+  options.images_per_record = 4;
+  auto writer = PcrDatasetWriter::Create(&env, "ds", options).MoveValue();
+  const std::vector<std::string> good = MixedInputs(4);
+  ASSERT_TRUE(writer->AddImage(Slice(good[0]), 0).ok());
+  ASSERT_TRUE(writer->AddImage(Slice(good[1]), 1).ok());
+  EXPECT_FALSE(writer->AddImage(Slice("not a jpeg"), 9).ok());
+  ASSERT_TRUE(writer->AddImage(Slice(good[2]), 2).ok());
+  ASSERT_TRUE(writer->AddImage(Slice(good[3]), 3).ok());
+  EXPECT_EQ(writer->records_written(), 1);
+  ASSERT_TRUE(writer->Finish().ok());
+  auto ds = PcrDataset::Open(&env, "ds").MoveValue();
+  EXPECT_EQ(ds->num_images(), 4);
+  auto batch = ds->ReadRecord(0, 1).MoveValue();
+  EXPECT_EQ(batch.labels, (std::vector<int64_t>{0, 1, 2, 3}));
+}
+
+// The writer owns copies of its staged inputs: the caller's bytes may die
+// as soon as AddImage returns.
+TEST(PcrDatasetWriter, StagedInputsOutliveTheCallersBytes) {
+  const std::vector<std::string> inputs = MixedInputs(6);
+  std::string want;
+  std::string got;
+  for (const bool reuse_buffer : {false, true}) {
+    VirtualClock clock;
+    SimEnv env(DeviceProfile::Ram(), &clock);
+    PcrWriterOptions options;
+    options.images_per_record = 6;
+    auto writer = PcrDatasetWriter::Create(&env, "ds", options).MoveValue();
+    std::string buffer;
+    for (int i = 0; i < 6; ++i) {
+      if (!reuse_buffer) {
+        ASSERT_TRUE(writer->AddImage(Slice(inputs[i]), i).ok());
+        continue;
+      }
+      buffer = inputs[i];
+      ASSERT_TRUE(writer->AddImage(Slice(buffer), i).ok());
+      buffer.assign(buffer.size(), '\0');
+    }
+    ASSERT_TRUE(writer->Finish().ok());
+    ASSERT_TRUE(env.ReadFileToString("ds/record-000000.pcr",
+                                     reuse_buffer ? &got : &want)
+                    .ok());
+  }
+  EXPECT_EQ(got, want);
+}
+
+// Destroying a writer mid-record, without Finish, drops the staged images:
+// nothing more is written and no thread outlives the writer.
+TEST(PcrDatasetWriter, DestroyMidRecordWritesNothingMore) {
+  VirtualClock clock;
+  SimEnv env(DeviceProfile::Ram(), &clock);
+  PcrWriterOptions options;
+  options.images_per_record = 4;
+  auto writer = PcrDatasetWriter::Create(&env, "ds", options).MoveValue();
+  const std::vector<std::string> inputs = MixedInputs(6);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(writer->AddImage(Slice(inputs[i]), i).ok());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  writer.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_TRUE(env.FileExists("ds/record-000000.pcr"));
+  EXPECT_FALSE(env.FileExists("ds/record-000001.pcr"));
 }
 
 TEST(PcrDataset, OpenFailsOnMissingManifest) {

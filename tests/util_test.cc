@@ -199,69 +199,6 @@ TEST(BoundedQueue, DrainsAfterClose) {
   EXPECT_FALSE(q.Pop().has_value());
 }
 
-TEST(BoundedQueue, PopManyDrainsUpToLimitInFifoOrder) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.Push(i));
-  std::vector<int> out;
-  EXPECT_EQ(q.PopMany(3, &out), 3u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.PopMany(10, &out), 2u);  // Takes what's there, appends.
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(q.PopMany(0, &out), 0u);  // Degenerate limit: no block, no pop.
-}
-
-TEST(BoundedQueue, PopManyBlocksUntilItemOrClose) {
-  BoundedQueue<int> q(4);
-  std::vector<int> out;
-  std::thread consumer([&] { q.PopMany(4, &out); });
-  q.Push(42);
-  consumer.join();
-  EXPECT_EQ(out, std::vector<int>{42});
-
-  q.Close();
-  std::vector<int> empty;
-  EXPECT_EQ(q.PopMany(4, &empty), 0u);  // Closed and drained.
-  EXPECT_TRUE(empty.empty());
-}
-
-TEST(BoundedQueue, PopManyFreesProducerSlots) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.Push(1));
-  EXPECT_TRUE(q.Push(2));
-  std::thread producer([&] {
-    EXPECT_TRUE(q.Push(3));  // Blocks until PopMany frees space.
-    EXPECT_TRUE(q.Push(4));
-  });
-  std::vector<int> out;
-  while (out.size() < 4) q.PopMany(4, &out);
-  producer.join();
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(BoundedQueue, PopManyStressConservesItems) {
-  BoundedQueue<int> q(8);
-  constexpr int kItems = 5000;
-  std::atomic<int64_t> sum{0};
-  std::thread producer([&] {
-    for (int i = 1; i <= kItems; ++i) q.Push(i);
-    q.Close();
-  });
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      std::vector<int> batch;
-      for (;;) {
-        batch.clear();
-        if (q.PopMany(4, &batch) == 0) break;
-        for (int v : batch) sum += v;
-      }
-    });
-  }
-  producer.join();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(sum.load(), static_cast<int64_t>(kItems) * (kItems + 1) / 2);
-}
-
 TEST(BoundedQueue, ProducerConsumerStress) {
   BoundedQueue<int> q(8);
   constexpr int kItems = 5000;

@@ -16,8 +16,8 @@
 // Reported metrics (CI gates in BENCH.json):
 //   serve_8c_jpeg/items_per_sec      aggregate served images/sec, compressed
 //   inprocess_8x_jpeg/items_per_sec  its no-daemon baseline (>= 0.12x gate)
-//   serve_8c/fairness_ratio          min/max per-client throughput under
-//                                    DRR, decoded plane (gated >= 0.7)
+//   serve_8c/fairness_ratio          min/max per-client throughput,
+//                                    decoded plane (gated >= 0.7)
 //   serve_8c/batch_p99_sec           p99 request->reply seconds (the value
 //                                    rides in the items_per_sec slot, like
 //                                    bench_cache_epochs' fetch_p99 rows)
@@ -27,7 +27,9 @@
 // granted in-flight cap, with one sender and one receiver thread — the
 // PcrClient split-call thread model. All phases run cache-warm (one warm
 // epoch first), so the comparison isolates serving overhead: framing,
-// socket copies, admission, and DRR arbitration.
+// socket copies, and admission. Fairness is the executor's: tickets go
+// round-robin to streams with credit, and each stream's serve thread blocks
+// only on its own client.
 #include <unistd.h>
 
 #include <algorithm>
@@ -206,11 +208,6 @@ PhaseResult RunServePhase(Env* env, const std::string& dataset_dir,
   options.decode_cache_bytes = 2ull << 30;
   options.prefix_cache_bytes = 1ull << 30;
   options.dataset_cache_share = 1.0;  // One dataset: full budget.
-  // One delivery token per stream: with cache-warm pipelines the serve
-  // threads are arbitration-bound before they are copy-bound, and a token
-  // pool smaller than the client count would throttle both planes alike
-  // while blurring the per-plane service-cost difference this bench gates.
-  options.serve_tokens = kClients;
   auto daemon = serve::PcrDaemon::Start(env, options).MoveValue();
 
   int num_records = 0;

@@ -130,10 +130,10 @@ struct StageStatsSnapshot {
 
   /// Serving-stage counters (the daemon's per-client serve stage; zero for
   /// in-process pipeline stages). `items` counts served batches. Queue wait
-  /// is request receipt -> service start (time spent parked behind
-  /// admission caps and the fairness scheduler); batch latency is request
-  /// receipt -> reply written (the client-visible service time). Both are
-  /// sliding-window percentiles like the fetch latencies above.
+  /// is request receipt -> service start (time spent behind the stream's
+  /// own earlier requests); batch latency is request receipt -> reply
+  /// written (the client-visible service time). Both are sliding-window
+  /// percentiles like the fetch latencies above.
   double queue_wait_p50_sec = 0;
   double queue_wait_p99_sec = 0;
   int64_t queue_wait_samples = 0;

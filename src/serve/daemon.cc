@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -45,6 +46,23 @@ constexpr int kExecutorIoThreads = 2;
 /// Reads each executor I/O worker keeps in flight across all streams: room
 /// for four streams' default windows at once.
 constexpr int kExecutorWindow = 16;
+
+/// Sends frame[sent..] with plain send()s, retrying on EINTR. The one send
+/// loop behind WriteFrame and WriteFrameWithFd; the caller holds the
+/// connection's write lock.
+Status SendRemainder(int fd, const std::string& frame, size_t sent) {
+  while (sent < frame.size()) {
+    const ssize_t n =
+        ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("serve: send(): " +
+                             std::string(std::strerror(errno)));
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
 
 uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -106,79 +124,10 @@ struct PcrDaemon::Stream {
   std::thread server;
 };
 
-// --- DrrScheduler -----------------------------------------------------------
-
-void PcrDaemon::DrrScheduler::Register(uint64_t stream_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[stream_id];  // Deficit starts at 0; first round tops it up.
-}
-
-void PcrDaemon::DrrScheduler::Unregister(uint64_t stream_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.erase(stream_id);
-  cv_.notify_all();  // Wake an Acquire parked on the erased stream.
-}
-
-uint64_t PcrDaemon::DrrScheduler::PickNextLocked() {
-  uint64_t best = 0;
-  int64_t best_deficit = 0;
-  bool any = false;
-  for (auto& [id, entry] : entries_) {
-    if (!entry.waiting) continue;
-    if (!any || entry.deficit > best_deficit) {
-      best = id;
-      best_deficit = entry.deficit;
-      any = true;
-    }
-  }
-  if (!any) return 0;
-  if (best_deficit <= 0) {
-    // Every waiting stream is overdrawn: a new round credits one quantum
-    // each (classic DRR, adapted to reply sizes unknown until served).
-    for (auto& [id, entry] : entries_) {
-      if (entry.waiting) entry.deficit += static_cast<int64_t>(quantum_);
-    }
-  }
-  return best;
-}
-
-bool PcrDaemon::DrrScheduler::Acquire(uint64_t stream_id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = entries_.find(stream_id);
-  if (it == entries_.end()) return false;
-  it->second.waiting = true;
-  while (true) {
-    if (shutdown_ || entries_.count(stream_id) == 0) return false;
-    if (tokens_ > 0 && PickNextLocked() == stream_id) {
-      --tokens_;
-      entries_[stream_id].waiting = false;
-      return true;
-    }
-    cv_.wait(lock);
-  }
-}
-
-void PcrDaemon::DrrScheduler::Release(uint64_t stream_id, uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++tokens_;
-  auto it = entries_.find(stream_id);
-  if (it != entries_.end()) it->second.deficit -= static_cast<int64_t>(bytes);
-  cv_.notify_all();
-}
-
-void PcrDaemon::DrrScheduler::Shutdown() {
-  std::lock_guard<std::mutex> lock(mu_);
-  shutdown_ = true;
-  cv_.notify_all();
-}
-
 // --- Daemon lifecycle -------------------------------------------------------
 
 PcrDaemon::PcrDaemon(Env* env, DaemonOptions options)
-    : env_(env),
-      options_(std::move(options)),
-      scheduler_(std::max(1, options_.serve_tokens),
-                 std::max<uint64_t>(1, options_.drr_quantum_bytes)) {
+    : env_(env), options_(std::move(options)) {
   DecodeCacheOptions cache_options;
   cache_options.capacity_bytes = std::max<uint64_t>(1, options_.decode_cache_bytes);
   decode_cache_ = std::make_shared<DecodeCache>(cache_options);
@@ -278,13 +227,12 @@ void PcrDaemon::Stop() {
     listen_fd_ = -1;
   }
 
-  // Unblock everything serve-side first: shut the fairness scheduler down
-  // (wakes Acquire), sever every connection (unblocks serving threads
-  // parked in send() against a stalled client and pops the readers out of
-  // recv()), then tear the streams down — pipeline Stop() unblocks any
-  // thread still inside Next(), so the joins below are bounded — and shut
-  // the executor's workers down behind them.
-  scheduler_.Shutdown();
+  // Unblock everything serve-side first: sever every connection (unblocks
+  // serving threads parked in send() against a stalled client and pops the
+  // readers out of recv()), then tear the streams down — ring Close() and
+  // pipeline Stop() unblock any thread parked on a slot or inside Next(),
+  // so the joins below are bounded — and shut the executor's workers down
+  // behind them.
   std::vector<std::shared_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -502,10 +450,10 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
   {
     // Reserve the admission slot and id, but do NOT publish the stream yet:
     // once it is visible in streams_, Stop()/CloseStream may tear it down
-    // concurrently, so the pipeline, scheduler entry, and serving thread
-    // must all exist first. admitted_streams_ counts reserved slots
-    // (including streams still being initialized) so concurrent opens
-    // cannot over-admit in the window before publication.
+    // concurrently, so the pipeline and serving thread must both exist
+    // first. admitted_streams_ counts reserved slots (including streams
+    // still being initialized) so concurrent opens cannot over-admit in
+    // the window before publication.
     std::lock_guard<std::mutex> lock(streams_mu_);
     if (admitted_streams_ < options_.max_streams) {
       stream->id = next_stream_id_++;
@@ -558,7 +506,6 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
     }
   }
 
-  scheduler_.Register(stream->id);
   {
     std::lock_guard<std::mutex> lock(conn->streams_mu);
     conn->stream_ids.push_back(stream->id);
@@ -582,7 +529,6 @@ void PcrDaemon::HandleOpenStream(const std::shared_ptr<Connection>& conn,
       stream->closing = true;
     }
     stream->cv.notify_all();
-    scheduler_.Unregister(stream->id);
     if (stream->ring) stream->ring->Close();
     stream->pipeline->Stop();
     stream->server.join();
@@ -779,7 +725,7 @@ void PcrDaemon::ServeLoop(const std::shared_ptr<Stream>& stream) {
       receipt = stream->pending.front();
       stream->pending.pop_front();
     }
-    if (!scheduler_.Acquire(stream->id)) return;
+    // Queue wait: time spent behind this stream's own earlier requests.
     stream->stats.AddQueueWait(NowSec() - receipt);
 
     BatchReply reply;             // Socket plane and end-of-stream.
@@ -816,18 +762,11 @@ void PcrDaemon::ServeLoop(const std::shared_ptr<Stream>& stream) {
           slot = stream->ring->TryAcquire();
           if (!slot.has_value()) {
             // Backpressure: every slot is lent out, so the client must
-            // return one before this batch can be placed. Give the delivery
-            // token back while blocked — the wait is this stream's alone,
-            // and other streams keep flowing — then re-arbitrate.
+            // return one before this batch can be placed. The wait is this
+            // stream's alone; other streams keep flowing.
             stream->stats.AddShmSlotWait();
-            scheduler_.Release(stream->id, 0);
             slot = stream->ring->Acquire();
-            if (!slot.has_value() || !scheduler_.Acquire(stream->id)) {
-              if (slot.has_value()) {
-                stream->ring->Release(slot->first, slot->second);
-              }
-              return;  // Ring closed or scheduler shut down: teardown.
-            }
+            if (!slot.has_value()) return;  // Ring closed: teardown.
           }
         }
 
@@ -894,13 +833,12 @@ void PcrDaemon::ServeLoop(const std::shared_ptr<Stream>& stream) {
       }
     }
 
-    uint64_t reply_bytes = 0;
     if (!fatal) {
       const std::string payload = use_shm ? desc.Encode() : reply.Encode();
-      // The DRR charge and stage bytes count actual service: the frame plus
-      // (on the shm plane) the pixels placed in the slot, so a descriptor
-      // stream cannot out-compete socket streams on fairness accounting.
-      reply_bytes = payload.size() + (use_shm ? desc.payload_bytes : 0);
+      // Stage bytes count actual service: the frame plus (on the shm plane)
+      // the pixels placed in the slot.
+      const uint64_t reply_bytes =
+          payload.size() + (use_shm ? desc.payload_bytes : 0);
       const Status framable = CheckFramePayloadSize(payload.size());
       if (!framable.ok()) {
         // The batch cannot be framed. Tell the client cleanly (the error
@@ -932,7 +870,6 @@ void PcrDaemon::ServeLoop(const std::shared_ptr<Stream>& stream) {
         }
       }
     }
-    scheduler_.Release(stream->id, reply_bytes);
     if (fatal) return;
   }
 }
@@ -947,18 +884,7 @@ Status PcrDaemon::WriteFrame(Connection& conn, MessageType type,
   PCR_RETURN_IF_ERROR(CheckFramePayloadSize(payload.size()));
   const std::string frame = EncodeFrame(type, payload);
   std::lock_guard<std::mutex> lock(conn.write_mu);
-  size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(conn.fd, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("serve: send(): " +
-                             std::string(std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  return SendRemainder(conn.fd, frame, 0);
 }
 
 Status PcrDaemon::WriteFrameWithFd(Connection& conn, MessageType type,
@@ -992,18 +918,7 @@ Status PcrDaemon::WriteFrameWithFd(Connection& conn, MessageType type,
     return Status::IOError("serve: sendmsg(SCM_RIGHTS): " +
                            std::string(std::strerror(errno)));
   }
-  size_t sent = static_cast<size_t>(n);
-  while (sent < frame.size()) {
-    const ssize_t m = ::send(conn.fd, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (m < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("serve: send(): " +
-                             std::string(std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(m);
-  }
-  return Status::OK();
+  return SendRemainder(conn.fd, frame, static_cast<size_t>(n));
 }
 
 void PcrDaemon::SendError(const std::shared_ptr<Connection>& conn,
@@ -1100,7 +1015,6 @@ void PcrDaemon::TeardownStream(uint64_t stream_id) {
     stream->closing = true;
   }
   stream->cv.notify_all();
-  scheduler_.Unregister(stream_id);  // Unblocks a parked Acquire.
   // Closing the ring unblocks a server thread parked on slot backpressure
   // and reclaims any slots a vanished client never returned.
   if (stream->ring) stream->ring->Close();

@@ -24,27 +24,29 @@
 //     memory), and each open dataset is capped to a byte-budget share of
 //     the decode cache (DecodeCache::SetDatasetByteCap) so one tenant's
 //     working set cannot evict everyone else's.
-//   - Fairness: batch deliveries pass through a deficit-round-robin
-//     scheduler (DrrScheduler). `serve_tokens` deliveries run concurrently;
-//     when streams contend for a token, the one with the most unspent
-//     deficit goes first and is charged the actual reply bytes it served —
-//     so a greedy client pipelining large batches cannot starve a modest
-//     one.
+//   - Fairness has one point: executor admission, where the contended
+//     resource (I/O and decode workers) is. I/O workers issue tickets
+//     round-robin over the streams with credit, and a stream's credit
+//     (output queue depth + in-flight reads) caps how far it can run ahead
+//     of its client, so a greedy client pipelining large batches cannot
+//     starve a modest one.
 //
 // Threading: one accept thread, one reader thread per connection
 // (demultiplexing Hello/OpenStream/NextBatch/Stats/Close), the executor's
 // I/O and decode workers, and one serving thread per stream (NextBatch
-// queue -> DRR -> pipeline -> reply) — a stream costs one thread. Stop() is
-// bounded even with clients blocked in NextBatch: it shuts the sockets
-// down and stops every pipeline, which unblocks the serving threads, then
-// shuts the executor down.
+// queue -> pipeline -> reply) — a stream costs one thread. The serving
+// thread is the one place a reply may block: on the client's socket, or on
+// the stream's own shm slot credits. Either wait stalls only that stream:
+// no daemon-wide lock is held across it, and the connection's write lock,
+// held across send(), is shared only with that client's other streams.
+// Stop() is bounded even with clients blocked in NextBatch: it shuts the
+// sockets down and stops every pipeline, which unblocks the serving
+// threads, then shuts the executor down.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -72,12 +74,6 @@ struct DaemonOptions {
   // Admission control.
   int max_streams = 16;
   int max_inflight_per_stream = 8;
-  /// Concurrent batch deliveries across all streams; the DRR scheduler
-  /// arbitrates which waiting stream gets the next token.
-  int serve_tokens = 4;
-  /// Deficit added per DRR round (bytes); a stream's deliveries are charged
-  /// against it at actual reply size.
-  uint64_t drr_quantum_bytes = 4ull << 20;
   /// Each open dataset's byte-budget share of the decode cache, as a
   /// fraction of capacity (0 disables per-dataset caps).
   double dataset_cache_share = 0.5;
@@ -142,37 +138,6 @@ class PcrDaemon {
   struct Stream;
   struct DatasetEntry;
 
-  /// Deficit-round-robin arbiter over `serve_tokens` delivery slots.
-  class DrrScheduler {
-   public:
-    DrrScheduler(int tokens, uint64_t quantum)
-        : tokens_(tokens), quantum_(quantum) {}
-    void Register(uint64_t stream_id);
-    void Unregister(uint64_t stream_id);
-    /// Blocks until `stream_id` wins a delivery token (false on shutdown).
-    bool Acquire(uint64_t stream_id);
-    /// Returns the token, charging the stream `bytes` of deficit.
-    void Release(uint64_t stream_id, uint64_t bytes);
-    void Shutdown();
-
-   private:
-    struct Entry {
-      int64_t deficit = 0;
-      bool waiting = false;
-    };
-    /// Picks the waiting stream with the most deficit, topping every
-    /// waiting stream up by one quantum ("a round") whenever the best is
-    /// overdrawn. Returns 0 if nobody waits. Caller holds mu_.
-    uint64_t PickNextLocked();
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    int tokens_;
-    uint64_t quantum_;
-    bool shutdown_ = false;
-    std::map<uint64_t, Entry> entries_;
-  };
-
   PcrDaemon(Env* env, DaemonOptions options);
 
   Status Listen();
@@ -208,8 +173,11 @@ class PcrDaemon {
       const std::string& dir);
   void ReleaseDataset(const std::shared_ptr<DatasetEntry>& entry);
 
-  /// Tears one stream down: stops its pipeline, joins its serving thread,
-  /// releases the DRR registration, admission slot, and dataset ref.
+  /// Tears one stream down: closes its slot ring and stops its pipeline
+  /// (which unblock a serving thread parked on either), joins the serving
+  /// thread, and releases the admission slot and dataset ref. A serving
+  /// thread blocked in send() returns once its client reads or the socket
+  /// is shut down (disconnect, Stop()); no other stream waits on it.
   void TeardownStream(uint64_t stream_id);
   /// Disconnect path: tears down every stream the connection owns.
   void TeardownConnection(const std::shared_ptr<Connection>& conn);
@@ -222,7 +190,6 @@ class PcrDaemon {
   std::shared_ptr<PrefixCache> prefix_cache_;
   /// The loader workers every stream's pipeline runs on (built in Start).
   std::shared_ptr<LoaderExecutor> executor_;
-  DrrScheduler scheduler_;
 
   int listen_fd_ = -1;
   /// True once Listen() bound the socket path; gates the unlink on Stop()

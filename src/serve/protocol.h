@@ -333,7 +333,8 @@ struct StreamStats {
   int64_t served_batches = 0;
   int64_t served_images = 0;
   uint64_t served_bytes = 0;
-  /// Request receipt -> service start (admission/fairness queueing).
+  /// Request receipt -> service start: time spent behind the stream's own
+  /// earlier requests (each stream's serving thread takes them in order).
   double queue_wait_p50_sec = 0;
   double queue_wait_p99_sec = 0;
   /// Request receipt -> reply written (the client-visible service tail).

@@ -3,8 +3,8 @@
 // garbage headers), message round-trips, and the daemon's resource model —
 // admission control, mid-stream disconnects releasing slots and cache
 // shares, server-derived cache namespaces shared across clients, bounded
-// Stop() with clients mid-stream, and a multi-client hammer the TSan CI
-// pass leans on.
+// Stop() with clients mid-stream, clients that stop reading stalling only
+// their own streams, and a multi-client hammer the TSan CI pass leans on.
 //
 // With PCR_SERVE_SOCKET set, the client-facing cases run against that
 // already-running daemon (the CI daemon-integration job launches
@@ -23,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -245,12 +246,13 @@ class ServeDaemonTest : public ::testing::Test {
     std::filesystem::remove_all(root_, ec);
   }
 
-  /// Builds `num_images` procedural JPEGs (4 per record) into env:dir.
+  /// Builds `num_images` procedural width x height JPEGs (4 per record)
+  /// into env:dir.
   void BuildDataset(const std::string& dir, int num_images,
-                    uint64_t seed_base) {
+                    uint64_t seed_base, int width = 48, int height = 32) {
     DatasetSpec spec = DatasetSpec::TestTiny();
-    spec.base_width = 48;
-    spec.base_height = 32;
+    spec.base_width = width;
+    spec.base_height = height;
     spec.size_jitter = 0;
     PcrWriterOptions options;
     options.images_per_record = 4;
@@ -1166,6 +1168,103 @@ TEST_F(ServeDaemonTest, ZeroCopyCacheHitsCounted) {
       EXPECT_GT(stats.streams[0].zero_copy_bytes, 0u);
     }
     client->CloseStream(stream.stream_id).MoveValue();
+  }
+}
+
+TEST_F(ServeDaemonTest, StoppedReadersDoNotFreezeOtherStreams) {
+  // A client that stops reading stalls only its own stream. Four socket
+  // clients leave 768 KiB decoded replies unread, more than a socket
+  // buffer holds, so their serve threads block in send(); four shm clients
+  // hold every slot, so theirs park on the slot ring. A fifth client must
+  // still read a whole epoch.
+  const std::string big_dir = root_ + "/big";
+  BuildDataset(big_dir, /*num_images=*/16, /*seed_base=*/100, 256, 256);
+  const std::string socket = Socket();
+  {
+    // Decode the big dataset once, so the stalled streams are served from
+    // the decode cache and the test checks the reply path alone. Cold, their
+    // decodes would also queue ahead of the fifth stream's in the executor's
+    // one raw-record queue.
+    auto warm = PcrClient::Connect(socket, "warm").MoveValue();
+    OpenStreamRequest open;
+    open.dataset_dir = big_dir;
+    open.max_epochs = 1;
+    open.shuffle = false;
+    auto stream = warm->OpenStream(open).MoveValue();
+    while (!warm->NextBatch(stream.stream_id).MoveValue().end_of_stream) {
+    }
+  }
+  constexpr int kStalled = 4;
+  for (const bool shm : {false, true}) {
+    SCOPED_TRACE(shm ? "shm plane" : "socket plane");
+    struct Stalled {
+      std::unique_ptr<PcrClient> client;
+      std::vector<ServedBatch> held;  // Destroyed before the client.
+    };
+    std::vector<Stalled> stalled(kStalled);
+    for (int i = 0; i < kStalled; ++i) {
+      Stalled& s = stalled[i];
+      s.client =
+          PcrClient::Connect(socket, "stalled-" + std::to_string(i))
+              .MoveValue();
+      OpenStreamRequest open;
+      open.dataset_dir = big_dir;
+      open.max_epochs = 8;  // More batches than the client will ask for.
+      open.shuffle = false;
+      open.max_inflight = 8;
+      open.shm_plane = shm;
+      auto stream = s.client->OpenStream(open).MoveValue();
+      if (shm) {
+        ASSERT_GT(stream.shm_slots, 0u) << "daemon did not grant the shm plane";
+        for (uint32_t k = 0; k < stream.shm_slots; ++k) {
+          ASSERT_TRUE(s.client->SendNextBatchRequest(stream.stream_id).ok());
+          auto batch = s.client->ReceiveServedBatch(stream.stream_id);
+          ASSERT_TRUE(batch.ok()) << batch.status();
+          ASSERT_TRUE(batch->via_shm());
+          s.held.push_back(std::move(batch).MoveValue());
+        }
+      }
+      for (uint32_t k = 0; k < stream.max_inflight; ++k) {
+        ASSERT_TRUE(s.client->SendNextBatchRequest(stream.stream_id).ok());
+      }
+    }
+
+    std::promise<int> read_images;
+    std::future<int> images = read_images.get_future();
+    std::thread reader([&] {
+      int count = -1;
+      auto client = PcrClient::Connect(socket, "unstalled");
+      if (client.ok()) {
+        OpenStreamRequest open;
+        open.dataset_dir = dataset_dir_;
+        open.max_epochs = 1;
+        open.shuffle = false;
+        open.shm_plane = shm;
+        auto stream = (*client)->OpenStream(open);
+        if (stream.ok()) count = 0;
+        while (count >= 0) {
+          auto batch = (*client)->NextBatch(stream->stream_id);
+          if (!batch.ok()) {
+            count = -1;
+          } else if (batch->end_of_stream) {
+            break;
+          } else {
+            count += static_cast<int>(batch->images.size());
+          }
+        }
+      }
+      read_images.set_value(count);
+    });
+    const bool in_time = images.wait_for(std::chrono::seconds(5)) ==
+                         std::future_status::ready;
+    if (!in_time) {
+      // Hang the stalled clients up so the reader finishes and the test
+      // fails instead of hanging.
+      for (Stalled& s : stalled) s.client->Close();
+    }
+    reader.join();
+    EXPECT_TRUE(in_time) << "the fifth client read no epoch within 5 s";
+    EXPECT_EQ(images.get(), 16);
   }
 }
 
